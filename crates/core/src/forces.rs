@@ -210,21 +210,12 @@ impl TreePm {
         };
         t.acceleration_on_mesh = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        #[cfg(feature = "obs")]
-        let interp_span = greem_obs::trace::span("force", "pm.force_interpolation");
-        let ax = self.pm.interpolate(&acc[0], pos);
-        let ay = self.pm.interpolate(&acc[1], pos);
-        let az = self.pm.interpolate(&acc[2], pos);
-        let potential = self.pm.interpolate(&phi, pos);
-        #[cfg(feature = "obs")]
-        drop(interp_span);
+        let (accel, potential) = {
+            #[cfg(feature = "obs")]
+            let _span = greem_obs::trace::span("force", "pm.force_interpolation");
+            self.pm.interpolate_forces(&acc, &phi, pos)
+        };
         t.force_interpolation = t0.elapsed().as_secs_f64();
-        let accel = ax
-            .into_iter()
-            .zip(ay)
-            .zip(az)
-            .map(|((x, y), z)| Vec3::new(x, y, z))
-            .collect();
         (PmResult { accel, potential }, t)
     }
 
@@ -320,6 +311,34 @@ mod tests {
             );
         }
         assert_eq!(walk.sum_ni, n as u64);
+    }
+
+    #[test]
+    fn compute_pm_equals_the_solver_cycle_bitwise() {
+        let n = 2000;
+        let pos = rand_pos(n, 13);
+        let mass: Vec<f64> = (0..n).map(|i| (1.0 + (i % 3) as f64) / n as f64).collect();
+        for boundary in [Boundary::Periodic, Boundary::Isolated] {
+            let cfg = TreePmConfig {
+                boundary,
+                ..TreePmConfig::standard(16)
+            };
+            let (got, _) = TreePm::new(cfg).compute_pm(&pos, &mass);
+            let want = match boundary {
+                Boundary::Periodic => PmSolver::new(cfg.pm_params()).solve(&pos, &mass),
+                Boundary::Isolated => IsolatedPmSolver::new(cfg.pm_params()).solve(&pos, &mass),
+            };
+            for i in 0..n {
+                let (a, b) = (got.accel[i], want.accel[i]);
+                assert!(
+                    a.x.to_bits() == b.x.to_bits()
+                        && a.y.to_bits() == b.y.to_bits()
+                        && a.z.to_bits() == b.z.to_bits(),
+                    "{boundary:?} particle {i}: {a:?} vs {b:?}"
+                );
+                assert_eq!(got.potential[i].to_bits(), want.potential[i].to_bits());
+            }
+        }
     }
 
     #[test]

@@ -11,10 +11,13 @@ use crate::fft1d::Fft1d;
 use rayon::prelude::*;
 
 /// Raw mesh pointer shared across threads; users index disjoint
-/// elements only (each yz column of the x-pass is touched by exactly
-/// one task).
+/// elements only (each block of yz columns of the x-pass is touched by
+/// exactly one task).
 struct SendPtr(*mut Cpx);
+// SAFETY: the one field points into a mesh borrowed mutably for the
+// whole pass; tasks write disjoint elements through it.
 unsafe impl Send for SendPtr {}
+// SAFETY: as for `Send`.
 unsafe impl Sync for SendPtr {}
 
 impl SendPtr {
@@ -42,14 +45,23 @@ impl Mesh3 {
         }
     }
 
-    /// Build from real values in `(x,y,z)` row-major order.
+    /// Build from real values in `(x,y,z)` row-major order, one x-plane
+    /// per rayon task (no zero-fill pass: every element is written once).
     pub fn from_real(n: usize, vals: &[f64]) -> Self {
+        assert!(n.is_power_of_two(), "mesh side must be a power of two");
         assert_eq!(vals.len(), n * n * n);
-        let mut m = Self::zeros(n);
-        for (d, &v) in m.data.iter_mut().zip(vals) {
-            *d = Cpx::real(v);
-        }
-        m
+        let mut data = Vec::with_capacity(n * n * n);
+        data.spare_capacity_mut()[..n * n * n]
+            .par_chunks_mut(n * n)
+            .enumerate()
+            .for_each(|(x, plane)| {
+                for (d, &v) in plane.iter_mut().zip(&vals[x * n * n..]) {
+                    d.write(Cpx::real(v));
+                }
+            });
+        // SAFETY: the planes above initialised all n³ elements.
+        unsafe { data.set_len(n * n * n) };
+        Mesh3 { n, data }
     }
 
     /// Mesh side length.
@@ -89,7 +101,7 @@ impl Mesh3 {
     /// Real parts, row-major (used after an inverse transform of data
     /// that is real by construction).
     pub fn to_real(&self) -> Vec<f64> {
-        self.data.iter().map(|c| c.re).collect()
+        self.data.par_iter().map(|c| c.re).collect()
     }
 
     /// Apply `f(kx, ky, kz, value)` to every mode in place; the indices
@@ -133,72 +145,112 @@ pub fn fft3d(mesh: &mut Mesh3, plan: &Fft1d) {
 }
 
 /// In-place inverse 3-D FFT including the `1/n³` normalisation, so
-/// `fft3d_inverse(fft3d(m)) == m`.
+/// `fft3d_inverse(fft3d(m)) == m`. The scaling is applied to each
+/// x-line as the last pass writes it back, so it costs no extra sweep.
 pub fn fft3d_inverse(mesh: &mut Mesh3, plan: &Fft1d) {
     transform3d(mesh, plan, true);
-    let s = 1.0 / (mesh.n as f64).powi(3);
-    let n = mesh.n;
-    mesh.data.par_chunks_mut(n * n).for_each(|plane| {
-        for v in plane.iter_mut() {
-            *v = v.scale(s);
-        }
-    });
 }
 
+/// Adjacent lines each pass task transforms together: every gathered
+/// row of the strided y and x passes is 8 contiguous complex values
+/// (two cache lines), and the butterflies vectorise across the 8 lanes.
+const LANES: usize = 8;
+
 /// The three axis passes, each a batch of independent 1-D line
-/// transforms run as rayon tasks. Every line is transformed by exactly
-/// the same `Fft1d` code as the serial loops this replaces, so the
-/// result is bitwise-identical regardless of thread count — parallelism
-/// only changes *which thread* runs a line, never the arithmetic.
+/// transforms run as rayon tasks. Every line is transformed with exactly
+/// the arithmetic of a lone `Fft1d` call, so the result is
+/// bitwise-identical regardless of thread count or lane grouping —
+/// parallelism only changes *which thread* runs a line, never the
+/// arithmetic.
 fn transform3d(mesh: &mut Mesh3, plan: &Fft1d, inverse: bool) {
+    assert_eq!(plan.len(), mesh.n, "plan size must match mesh side");
+    if mesh.n >= LANES {
+        axis_passes::<LANES>(mesh, plan, inverse);
+    } else {
+        axis_passes::<1>(mesh, plan, inverse);
+    }
+}
+
+/// The z, y and x passes, each over blocks of `W` adjacent lines.
+fn axis_passes<const W: usize>(mesh: &mut Mesh3, plan: &Fft1d, inverse: bool) {
     let n = mesh.n;
-    assert_eq!(plan.len(), n, "plan size must match mesh side");
-    let run = |plan: &Fft1d, buf: &mut [Cpx]| {
+    let n2 = n * n;
+    let run = |rows: &mut [[Cpx; W]]| {
         if inverse {
-            plan.inverse(buf)
+            plan.inverse_lanes(rows)
         } else {
-            plan.forward(buf)
+            plan.forward_lanes(rows)
         }
     };
-    // Along z: contiguous rows, one task per row batch.
-    mesh.data.par_chunks_mut(n).for_each(|row| run(plan, row));
-    // Along y: stride n within each x-plane; one task per plane, each
-    // with its own gather/scatter line buffer.
-    mesh.data.par_chunks_mut(n * n).for_each_init(
-        || vec![Cpx::ZERO; n],
-        |line, plane| {
-            for z in 0..n {
-                for y in 0..n {
-                    line[y] = plane[y * n + z];
-                }
-                run(plan, line);
-                for y in 0..n {
-                    plane[y * n + z] = line[y];
-                }
+    // Along z: W contiguous rows per block, transposed into lanes.
+    mesh.data.par_chunks_mut(W * n).for_each_init(
+        || vec![[Cpx::ZERO; W]; n],
+        |rows, block| {
+            // SAFETY: the block's W rows, owned through `block`.
+            unsafe { block_lines(block.as_mut_ptr(), 1, n, rows, &run, None) };
+        },
+    );
+    // Along y: stride n within each x-plane; one task per plane.
+    mesh.data.par_chunks_mut(n2).for_each_init(
+        || vec![[Cpx::ZERO; W]; n],
+        |rows, plane| {
+            for z0 in (0..n).step_by(W) {
+                // SAFETY: columns z0..z0+W of this plane, which the task
+                // owns through `plane`.
+                unsafe { block_lines(plane.as_mut_ptr().add(z0), n, 1, rows, &run, None) };
             }
         },
     );
     // Along x: stride n² — the lines cross every chunk boundary, so
-    // chunking cannot express the partition; each yz column is claimed
-    // by exactly one task and accessed through a shared raw pointer.
-    let n2 = n * n;
+    // chunking cannot express the partition; each block of adjacent yz
+    // columns is claimed by exactly one task and accessed through a
+    // shared raw pointer. The inverse's 1/n³ is applied here.
+    let scale = inverse.then(|| 1.0 / (n as f64).powi(3));
     let ptr = SendPtr(mesh.data.as_mut_ptr());
-    (0..n2).into_par_iter().for_each_init(
-        || vec![Cpx::ZERO; n],
-        |line, yz| {
-            // SAFETY: this task is the only one touching column `yz`;
-            // elements yz, n²+yz, 2n²+yz… are disjoint across tasks.
-            unsafe {
-                for (x, l) in line.iter_mut().enumerate() {
-                    *l = *ptr.get().add(x * n2 + yz);
-                }
-                run(plan, line);
-                for (x, l) in line.iter().enumerate() {
-                    *ptr.get().add(x * n2 + yz) = *l;
-                }
-            }
+    (0..n2 / W).into_par_iter().for_each_init(
+        || vec![[Cpx::ZERO; W]; n],
+        |rows, b| {
+            // SAFETY: this task is the only one touching columns
+            // b·W..(b+1)·W; their elements at every x are disjoint
+            // across tasks.
+            unsafe { block_lines(ptr.get().add(b * W), n2, 1, rows, &run, scale) };
         },
     );
+}
+
+/// Transform the `W` lines that start at `first`: element `k` of line
+/// `j` sits at `first + k·stride + j·lane_stride`. Gathers them row by
+/// row into `rows`, runs `run`, optionally scales, and scatters them
+/// back.
+///
+/// # Safety
+///
+/// Every addressed element must be valid and unaliased for the call.
+#[inline(always)]
+unsafe fn block_lines<const W: usize>(
+    first: *mut Cpx,
+    stride: usize,
+    lane_stride: usize,
+    rows: &mut [[Cpx; W]],
+    run: &impl Fn(&mut [[Cpx; W]]),
+    scale: Option<f64>,
+) {
+    for (k, row) in rows.iter_mut().enumerate() {
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = *first.add(k * stride + j * lane_stride);
+        }
+    }
+    run(rows);
+    if let Some(s) = scale {
+        for v in rows.iter_mut().flatten() {
+            *v = v.scale(s);
+        }
+    }
+    for (k, row) in rows.iter().enumerate() {
+        for (j, v) in row.iter().enumerate() {
+            *first.add(k * stride + j * lane_stride) = *v;
+        }
+    }
 }
 
 #[cfg(test)]

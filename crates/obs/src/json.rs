@@ -157,11 +157,18 @@ impl Value {
     }
 }
 
-/// Parse a complete JSON document. Errors carry a byte offset.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a body of `[` bytes would overflow
+/// the thread's stack and abort the process instead of failing.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a complete JSON document. Errors carry a byte offset; nesting
+/// deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(src: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -175,6 +182,8 @@ pub fn parse(src: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -212,8 +221,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -221,6 +230,21 @@ impl Parser<'_> {
             Some(_) => self.number(),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to descend
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -485,6 +509,27 @@ mod tests {
         assert_eq!(v.get("x").unwrap().as_str().unwrap(), "\u{fffd}A");
         // Truncated pair tail is still an error.
         assert!(parse(r#"{"x": "\ud83d\ud"}"#).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_fails_closed_instead_of_overflowing_the_stack() {
+        // 100 000 `[` once aborted the process on a 2 MiB stack.
+        let res = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| parse(&"[".repeat(100_000)))
+            .unwrap()
+            .join()
+            .expect("parser must return, not overflow");
+        let err = res.unwrap_err();
+        assert!(
+            err.contains(&format!("byte {MAX_DEPTH}")),
+            "error should locate the fault: {err}"
+        );
+        // The limit itself is accepted.
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&ok).is_ok());
+        let too_deep = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(parse(&too_deep).is_err());
     }
 
     #[test]

@@ -32,19 +32,21 @@
 //! which keeps every pair interaction exact as long as per-axis
 //! separations stay below 1 box length.
 
-use greem_fft::{fft3d, fft3d_inverse, Fft1d, Mesh3};
+use greem_fft::{fft3d, fft3d_inverse, Cpx, Fft1d, Mesh3};
 use greem_math::cutoff::{h_p3m, s2_self_potential};
 use greem_math::Vec3;
 use rayon::prelude::*;
 
-use crate::serial::{PmParams, PmResult};
-use crate::tsc::tsc_weights;
+use crate::greens::tsc_window;
+use crate::mesh;
+use crate::serial::PmParams;
+use crate::PmPipeline;
 
 /// Open-boundary PM solver on a `2n`-padded mesh.
 ///
 /// ```
 /// use greem_math::Vec3;
-/// use greem_pm::{IsolatedPmSolver, PmParams};
+/// use greem_pm::{IsolatedPmSolver, PmParams, PmPipeline};
 ///
 /// let solver = IsolatedPmSolver::new(PmParams::standard(16));
 /// // A pair separated by half the box: in open space the force acts
@@ -58,10 +60,9 @@ pub struct IsolatedPmSolver {
     /// Padded mesh side, `2 · n_mesh`.
     np: usize,
     /// Real part of the padded-mesh kernel transform (the kernel is even
-    /// in every axis, so its DFT is real up to rounding).
+    /// in every axis, so its DFT is real up to rounding), divided by the
+    /// squared TSC window when deconvolving.
     kernel_hat: Vec<f64>,
-    /// Per-axis TSC window `sinc³(π·m̃/np)` on the padded mesh.
-    w_tsc: Vec<f64>,
     plan: Fft1d,
     /// S2 self-potential per unit mass — the kernel's `r = 0` value.
     phi_self: f64,
@@ -109,38 +110,23 @@ impl IsolatedPmSolver {
         let plan = Fft1d::new(np);
         let mut mesh = Mesh3::from_real(np, &kernel);
         fft3d(&mut mesh, &plan);
-        let kernel_hat = mesh.data().iter().map(|c| c.re).collect();
-        let w_tsc = (0..np)
-            .map(|i| {
-                let m = if i <= np / 2 {
-                    i as f64
-                } else {
-                    i as f64 - np as f64
-                };
-                let x = std::f64::consts::PI * m / np as f64;
-                let s = if x.abs() < 1e-12 { 1.0 } else { x.sin() / x };
-                s * s * s
-            })
-            .collect();
+        if params.deconvolve {
+            // Per-axis TSC window on the padded mesh; it only vanishes
+            // at |m̃| = np (not a representable mode), so the division
+            // is safe.
+            let w_tsc = tsc_window(np);
+            mesh.par_map_modes(|ix, iy, iz, v| {
+                let wt = w_tsc[ix] * w_tsc[iy] * w_tsc[iz];
+                Cpx::real(v.re / (wt * wt))
+            });
+        }
         IsolatedPmSolver {
             params,
             np,
-            kernel_hat,
-            w_tsc,
+            kernel_hat: mesh.to_real(),
             plan,
             phi_self,
         }
-    }
-
-    /// The configuration (physical-mesh parameters; the padding is an
-    /// implementation detail).
-    pub fn params(&self) -> &PmParams {
-        &self.params
-    }
-
-    /// Padded mesh side (`2 · n_mesh`).
-    pub fn padded_n(&self) -> usize {
-        self.np
     }
 
     /// The S2 self-potential per unit mass (the kernel's `r = 0` value),
@@ -148,198 +134,56 @@ impl IsolatedPmSolver {
     pub fn self_potential(&self) -> f64 {
         self.phi_self
     }
+}
 
+impl PmPipeline for IsolatedPmSolver {
     /// TSC mass-density deposit onto the padded mesh. Cell size is the
     /// *physical* `h = 1/n`; indices wrap on the padded torus, so
     /// positions slightly outside `[0,1)` land in the padding and keep
     /// their exact open-space separations.
-    pub fn assign_density(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
-        let n = self.params.n_mesh;
-        let np = self.np;
-        let np_i = np as i64;
-        let vol_inv = (n * n * n) as f64; // 1/h³
-        let mut rho = vec![0.0; np * np * np];
-        for (p, &m) in pos.iter().zip(mass) {
-            let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-            let amp = m * vol_inv;
-            for (a, &wxa) in wx.iter().enumerate() {
-                let cx = (ix + a as i64).rem_euclid(np_i) as usize;
-                for (b, &wyb) in wy.iter().enumerate() {
-                    let cy = (iy + b as i64).rem_euclid(np_i) as usize;
-                    let wxy = wxa * wyb * amp;
-                    let row = (cx * np + cy) * np;
-                    for (c, &wzc) in wz.iter().enumerate() {
-                        let cz = (iz + c as i64).rem_euclid(np_i) as usize;
-                        rho[row + cz] += wxy * wzc;
-                    }
-                }
-            }
-        }
-        rho
+    ///
+    /// Serial, in input order. A resumed galaxy run deposits its first
+    /// step in a different particle order than the uninterrupted run;
+    /// the last-bit density difference that causes reaches the final
+    /// state under the slab-coloured order, breaking the scenario's
+    /// bitwise checkpoint-resume gate, and does not under this one.
+    fn assign_density(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
+        mesh::deposit(self.params.n_mesh, self.np, pos, mass, false)
     }
 
     /// Solve the open-space filtered Poisson equation on the padded
     /// mesh: density in, long-range potential out.
-    pub fn potential_mesh(&self, density: &[f64]) -> Vec<f64> {
+    fn potential_mesh(&self, density: &[f64]) -> Vec<f64> {
         let np = self.np;
         assert_eq!(density.len(), np * np * np);
         let mut mesh = Mesh3::from_real(np, density);
         fft3d(&mut mesh, &self.plan);
         let kernel = &self.kernel_hat;
-        let w_tsc = &self.w_tsc;
-        let deconvolve = self.params.deconvolve;
-        mesh.par_map_modes(|ix, iy, iz, v| {
-            let mut g = kernel[(ix * np + iy) * np + iz];
-            if deconvolve {
-                let wt = w_tsc[ix] * w_tsc[iy] * w_tsc[iz];
-                // The padded TSC window only vanishes at |m̃| = np (not a
-                // representable mode); the division is safe.
-                g /= wt * wt;
-            }
-            v.scale(g)
-        });
+        mesh.par_map_modes(|ix, iy, iz, v| v.scale(kernel[(ix * np + iy) * np + iz]));
         fft3d_inverse(&mut mesh, &self.plan);
         mesh.to_real()
     }
 
-    /// 4-point finite-difference accelerations from the padded potential
-    /// mesh (`∂φ/∂x ≈ (−φ₊₂ + 8φ₊₁ − 8φ₋₁ + φ₋₂)/(12h)`, physical cell
-    /// size `h = 1/n`).
-    pub fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
-        let np = self.np;
-        assert_eq!(phi.len(), np * np * np);
-        // 1/(12h) with the *physical* spacing h = 1/n = 2/np.
-        let inv12h = self.params.n_mesh as f64 / 12.0;
-        let idx = |x: usize, y: usize, z: usize| (x * np + y) * np + z;
-        let wrap = |i: usize, d: i64| ((i as i64 + d).rem_euclid(np as i64)) as usize;
-        let mut out = [
-            vec![0.0; np * np * np],
-            vec![0.0; np * np * np],
-            vec![0.0; np * np * np],
-        ];
-        let [ox, oy, oz] = &mut out;
-        ox.par_chunks_mut(np * np)
-            .enumerate()
-            .for_each(|(x, slab)| {
-                for y in 0..np {
-                    for z in 0..np {
-                        let dx = -phi[idx(wrap(x, 2), y, z)] + 8.0 * phi[idx(wrap(x, 1), y, z)]
-                            - 8.0 * phi[idx(wrap(x, -1), y, z)]
-                            + phi[idx(wrap(x, -2), y, z)];
-                        slab[y * np + z] = -dx * inv12h;
-                    }
-                }
-            });
-        oy.par_chunks_mut(np * np)
-            .enumerate()
-            .for_each(|(x, slab)| {
-                for y in 0..np {
-                    for z in 0..np {
-                        let dy = -phi[idx(x, wrap(y, 2), z)] + 8.0 * phi[idx(x, wrap(y, 1), z)]
-                            - 8.0 * phi[idx(x, wrap(y, -1), z)]
-                            + phi[idx(x, wrap(y, -2), z)];
-                        slab[y * np + z] = -dy * inv12h;
-                    }
-                }
-            });
-        oz.par_chunks_mut(np * np)
-            .enumerate()
-            .for_each(|(x, slab)| {
-                for y in 0..np {
-                    for z in 0..np {
-                        let dz = -phi[idx(x, y, wrap(z, 2))] + 8.0 * phi[idx(x, y, wrap(z, 1))]
-                            - 8.0 * phi[idx(x, y, wrap(z, -1))]
-                            + phi[idx(x, y, wrap(z, -2))];
-                        slab[y * np + z] = -dz * inv12h;
-                    }
-                }
-            });
-        out
+    /// 4-point finite differences on the padded mesh with the *physical*
+    /// spacing `h = 1/n = 2/np`.
+    fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
+        mesh::differentiate(phi, self.np, self.params.n_mesh as f64 / 12.0)
     }
 
-    /// TSC interpolation of a padded-mesh field to particle positions.
-    pub fn interpolate(&self, field: &[f64], pos: &[Vec3]) -> Vec<f64> {
-        let n = self.params.n_mesh;
-        let np = self.np;
-        let np_i = np as i64;
-        pos.par_iter()
-            .map(|p| {
-                let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-                let mut v = 0.0;
-                for (a, &wxa) in wx.iter().enumerate() {
-                    let cx = (ix + a as i64).rem_euclid(np_i) as usize;
-                    for (b, &wyb) in wy.iter().enumerate() {
-                        let cy = (iy + b as i64).rem_euclid(np_i) as usize;
-                        let row = (cx * np + cy) * np;
-                        let wxy = wxa * wyb;
-                        for (c, &wzc) in wz.iter().enumerate() {
-                            let cz = (iz + c as i64).rem_euclid(np_i) as usize;
-                            v += wxy * wzc * field[row + cz];
-                        }
-                    }
-                }
-                v
-            })
-            .collect()
-    }
-
-    /// Fused TSC interpolation of the three acceleration meshes and the
-    /// potential (one weight computation per particle; bitwise-identical
-    /// to four separate [`interpolate`](Self::interpolate) calls).
-    pub fn interpolate_forces(
+    fn interpolate_forces(
         &self,
         acc: &[Vec<f64>; 3],
         phi: &[f64],
         pos: &[Vec3],
     ) -> (Vec<Vec3>, Vec<f64>) {
-        let n = self.params.n_mesh;
-        let np = self.np;
-        let np_i = np as i64;
-        let rows: Vec<(Vec3, f64)> = pos
-            .par_iter()
-            .map(|p| {
-                let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-                let mut a3 = Vec3::ZERO;
-                let mut pot = 0.0;
-                for (a, &wxa) in wx.iter().enumerate() {
-                    let cx = (ix + a as i64).rem_euclid(np_i) as usize;
-                    for (b, &wyb) in wy.iter().enumerate() {
-                        let cy = (iy + b as i64).rem_euclid(np_i) as usize;
-                        let row = (cx * np + cy) * np;
-                        let wxy = wxa * wyb;
-                        for (c, &wzc) in wz.iter().enumerate() {
-                            let cz = (iz + c as i64).rem_euclid(np_i) as usize;
-                            let w = wxy * wzc;
-                            let i = row + cz;
-                            a3.x += w * acc[0][i];
-                            a3.y += w * acc[1][i];
-                            a3.z += w * acc[2][i];
-                            pot += w * phi[i];
-                        }
-                    }
-                }
-                (a3, pot)
-            })
-            .collect();
-        rows.into_iter().unzip()
-    }
-
-    /// The full isolated PM cycle: open-space long-range accelerations
-    /// (and potentials) at the particle positions.
-    pub fn solve(&self, pos: &[Vec3], mass: &[f64]) -> PmResult {
-        assert_eq!(pos.len(), mass.len());
-        let rho = self.assign_density(pos, mass);
-        let phi = self.potential_mesh(&rho);
-        let acc = self.accel_meshes(&phi);
-        let (accel, potential) = self.interpolate_forces(&acc, &phi, pos);
-        PmResult { accel, potential }
+        mesh::gather_forces(self.params.n_mesh, self.np, acc, phi, pos)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serial::PmSolver;
+    use crate::PmSolver;
 
     #[test]
     fn padded_deposit_conserves_mass() {

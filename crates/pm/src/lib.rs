@@ -29,6 +29,7 @@ pub mod convert;
 pub mod greens;
 pub mod isolated;
 pub mod layout;
+mod mesh;
 pub mod parallel;
 pub mod relay;
 pub mod serial;
@@ -56,9 +57,7 @@ pub trait PmPipeline: Send + Sync {
     fn potential_mesh(&self, density: &[f64]) -> Vec<f64>;
     /// 4-point finite-difference acceleration meshes from the potential.
     fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3];
-    /// TSC interpolation of one mesh field to particle positions.
-    fn interpolate(&self, field: &[f64], pos: &[Vec3]) -> Vec<f64>;
-    /// Fused interpolation of the acceleration meshes and potential.
+    /// Fused TSC interpolation of the acceleration meshes and potential.
     fn interpolate_forces(
         &self,
         acc: &[Vec<f64>; 3],
@@ -67,6 +66,7 @@ pub trait PmPipeline: Send + Sync {
     ) -> (Vec<Vec3>, Vec<f64>);
     /// The full cycle: accelerations + potentials at the positions.
     fn solve(&self, pos: &[Vec3], mass: &[f64]) -> PmResult {
+        assert_eq!(pos.len(), mass.len());
         let rho = self.assign_density(pos, mass);
         let phi = self.potential_mesh(&rho);
         let acc = self.accel_meshes(&phi);
@@ -85,9 +85,6 @@ impl PmPipeline for PmSolver {
     fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
         PmSolver::accel_meshes(self, phi)
     }
-    fn interpolate(&self, field: &[f64], pos: &[Vec3]) -> Vec<f64> {
-        PmSolver::interpolate(self, field, pos)
-    }
     fn interpolate_forces(
         &self,
         acc: &[Vec<f64>; 3],
@@ -95,28 +92,5 @@ impl PmPipeline for PmSolver {
         pos: &[Vec3],
     ) -> (Vec<Vec3>, Vec<f64>) {
         PmSolver::interpolate_forces(self, acc, phi, pos)
-    }
-}
-
-impl PmPipeline for IsolatedPmSolver {
-    fn assign_density(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
-        IsolatedPmSolver::assign_density(self, pos, mass)
-    }
-    fn potential_mesh(&self, density: &[f64]) -> Vec<f64> {
-        IsolatedPmSolver::potential_mesh(self, density)
-    }
-    fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
-        IsolatedPmSolver::accel_meshes(self, phi)
-    }
-    fn interpolate(&self, field: &[f64], pos: &[Vec3]) -> Vec<f64> {
-        IsolatedPmSolver::interpolate(self, field, pos)
-    }
-    fn interpolate_forces(
-        &self,
-        acc: &[Vec<f64>; 3],
-        phi: &[f64],
-        pos: &[Vec3],
-    ) -> (Vec<Vec3>, Vec<f64>) {
-        IsolatedPmSolver::interpolate_forces(self, acc, phi, pos)
     }
 }

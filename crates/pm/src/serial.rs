@@ -8,10 +8,9 @@
 
 use greem_fft::{fft3d, fft3d_inverse, Fft1d, Mesh3};
 use greem_math::Vec3;
-use rayon::prelude::*;
 
-use crate::greens::GreensFn;
-use crate::tsc::tsc_weights;
+use crate::greens::{GreensFn, GreensTable};
+use crate::{mesh, PmPipeline};
 
 /// PM configuration.
 #[derive(Debug, Clone, Copy)]
@@ -46,7 +45,7 @@ pub struct PmResult {
     pub potential: Vec<f64>,
 }
 
-/// Serial PM solver: owns the FFT plan and Green's function tables.
+/// Serial PM solver: owns the FFT plan and the Green's function table.
 ///
 /// ```
 /// use greem_math::Vec3;
@@ -62,7 +61,7 @@ pub struct PmResult {
 /// ```
 pub struct PmSolver {
     params: PmParams,
-    greens: GreensFn,
+    greens: GreensTable,
     plan: Fft1d,
 }
 
@@ -73,8 +72,9 @@ impl PmSolver {
             params.n_mesh.is_power_of_two(),
             "PM mesh must be a power of two"
         );
+        let greens = GreensFn::new(params.n_mesh, params.r_cut, params.deconvolve);
         PmSolver {
-            greens: GreensFn::new(params.n_mesh, params.r_cut, params.deconvolve),
+            greens: GreensTable::new(&greens),
             plan: Fft1d::new(params.n_mesh),
             params,
         }
@@ -88,68 +88,24 @@ impl PmSolver {
     /// TSC mass-density assignment onto the full periodic mesh:
     /// `ρ[c] = Σ_p m_p·W(c − x_p) / h³`. Positions must be in `[0,1)`.
     ///
-    /// Parallelised with per-chunk scratch meshes rather than x-slab
-    /// ownership: TSC scatters span 3 planes, so slab ownership needs
-    /// ghost layers and a particle→slab binning pass, while scratch
-    /// meshes keep the scatter loop identical to the serial one and pay
-    /// only an n³-sized reduction — the better trade at the mesh sizes
-    /// the single-rank path runs (≤128³). The chunk count is a pure
-    /// function of the problem size (never of the thread count), so the
-    /// reduction order is fixed and the result is deterministic on any
-    /// host. It may differ from the serial sum by reassociation only:
-    /// ≲1e-12 relative.
+    /// Parallelised by x-slab ownership: particles are binned by the slab
+    /// of their leftmost TSC plane, and slabs of alternating colour
+    /// scatter in two parallel rounds straight into the one output mesh
+    /// — no per-thread scratch meshes and no reduction. The summation
+    /// order per cell is fixed by the positions alone, so the result is
+    /// deterministic on any host and thread count; it may differ from
+    /// [`assign_density_serial`](Self::assign_density_serial) by
+    /// reassociation only: ≲1e-12 relative.
     pub fn assign_density(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
         let n = self.params.n_mesh;
-        let chunks = assignment_chunks(pos.len(), n);
-        if chunks == 1 {
-            return self.assign_density_serial(pos, mass);
-        }
-        let chunk_len = pos.len().div_ceil(chunks);
-        let partials: Vec<Vec<f64>> = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * chunk_len;
-                let hi = ((c + 1) * chunk_len).min(pos.len());
-                self.assign_density_serial(&pos[lo..hi], &mass[lo..hi])
-            })
-            .collect();
-        // Reduce in fixed chunk order, parallel over mesh slabs.
-        let mut rho = partials[0].clone();
-        rho.par_chunks_mut(n * n).enumerate().for_each(|(x, slab)| {
-            for part in &partials[1..] {
-                let src = &part[x * n * n..(x + 1) * n * n];
-                for (d, s) in slab.iter_mut().zip(src) {
-                    *d += s;
-                }
-            }
-        });
-        rho
+        mesh::deposit(n, n, pos, mass, true)
     }
 
-    /// The serial scatter loop — the reference the parallel assignment
-    /// reduces over (and equivalence tests compare against).
+    /// The serial scatter loop in input order — the reference the
+    /// parallel assignment is compared against.
     pub fn assign_density_serial(&self, pos: &[Vec3], mass: &[f64]) -> Vec<f64> {
         let n = self.params.n_mesh;
-        let n_i = n as i64;
-        let vol_inv = (n * n * n) as f64; // 1/h³
-        let mut rho = vec![0.0; n * n * n];
-        for (p, &m) in pos.iter().zip(mass) {
-            let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-            let amp = m * vol_inv;
-            for (a, &wxa) in wx.iter().enumerate() {
-                let cx = (ix + a as i64).rem_euclid(n_i) as usize;
-                for (b, &wyb) in wy.iter().enumerate() {
-                    let cy = (iy + b as i64).rem_euclid(n_i) as usize;
-                    let wxy = wxa * wyb * amp;
-                    let row = (cx * n + cy) * n;
-                    for (c, &wzc) in wz.iter().enumerate() {
-                        let cz = (iz + c as i64).rem_euclid(n_i) as usize;
-                        rho[row + cz] += wxy * wzc;
-                    }
-                }
-            }
-        }
-        rho
+        mesh::deposit(n, n, pos, mass, false)
     }
 
     /// Solve the filtered Poisson equation on the mesh: density in,
@@ -160,7 +116,7 @@ impl PmSolver {
         let mut mesh = Mesh3::from_real(n, density);
         fft3d(&mut mesh, &self.plan);
         let greens = &self.greens;
-        mesh.par_map_modes(|ix, iy, iz, v| v * greens.eval(ix, iy, iz));
+        mesh.par_map_modes(|ix, iy, iz, v| v * greens.get(ix, iy, iz));
         fft3d_inverse(&mut mesh, &self.plan);
         mesh.to_real()
     }
@@ -170,77 +126,16 @@ impl PmSolver {
     /// step 5). Returns the three component meshes.
     pub fn accel_meshes(&self, phi: &[f64]) -> [Vec<f64>; 3] {
         let n = self.params.n_mesh;
-        assert_eq!(phi.len(), n * n * n);
-        let inv12h = n as f64 / 12.0;
-        let idx = |x: usize, y: usize, z: usize| (x * n + y) * n + z;
-        let wrap = |i: usize, d: i64| ((i as i64 + d).rem_euclid(n as i64)) as usize;
-        // One parallel pass per component, each over x-slabs of its own
-        // output mesh. Every cell is written once with the same stencil
-        // arithmetic as the serial loop: bitwise-identical results.
-        let mut out = [
-            vec![0.0; n * n * n],
-            vec![0.0; n * n * n],
-            vec![0.0; n * n * n],
-        ];
-        let [ox, oy, oz] = &mut out;
-        ox.par_chunks_mut(n * n).enumerate().for_each(|(x, slab)| {
-            for y in 0..n {
-                for z in 0..n {
-                    let dx = -phi[idx(wrap(x, 2), y, z)] + 8.0 * phi[idx(wrap(x, 1), y, z)]
-                        - 8.0 * phi[idx(wrap(x, -1), y, z)]
-                        + phi[idx(wrap(x, -2), y, z)];
-                    slab[y * n + z] = -dx * inv12h;
-                }
-            }
-        });
-        oy.par_chunks_mut(n * n).enumerate().for_each(|(x, slab)| {
-            for y in 0..n {
-                for z in 0..n {
-                    let dy = -phi[idx(x, wrap(y, 2), z)] + 8.0 * phi[idx(x, wrap(y, 1), z)]
-                        - 8.0 * phi[idx(x, wrap(y, -1), z)]
-                        + phi[idx(x, wrap(y, -2), z)];
-                    slab[y * n + z] = -dy * inv12h;
-                }
-            }
-        });
-        oz.par_chunks_mut(n * n).enumerate().for_each(|(x, slab)| {
-            for y in 0..n {
-                for z in 0..n {
-                    let dz = -phi[idx(x, y, wrap(z, 2))] + 8.0 * phi[idx(x, y, wrap(z, 1))]
-                        - 8.0 * phi[idx(x, y, wrap(z, -1))]
-                        + phi[idx(x, y, wrap(z, -2))];
-                    slab[y * n + z] = -dz * inv12h;
-                }
-            }
-        });
-        out
+        mesh::differentiate(phi, n, n as f64 / 12.0)
     }
 
-    /// TSC interpolation of a mesh field to particle positions
-    /// (parallel over particles; per-particle arithmetic is unchanged,
-    /// so results are bitwise-identical to the serial loop).
+    /// TSC interpolation of one mesh field to particle positions
+    /// (parallel over particles). A test reference: the solver itself
+    /// uses the fused [`interpolate_forces`](Self::interpolate_forces).
     pub fn interpolate(&self, field: &[f64], pos: &[Vec3]) -> Vec<f64> {
         let n = self.params.n_mesh;
-        let n_i = n as i64;
-        pos.par_iter()
-            .map(|p| {
-                let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-                let mut v = 0.0;
-                for (a, &wxa) in wx.iter().enumerate() {
-                    let cx = (ix + a as i64).rem_euclid(n_i) as usize;
-                    for (b, &wyb) in wy.iter().enumerate() {
-                        let cy = (iy + b as i64).rem_euclid(n_i) as usize;
-                        let row = (cx * n + cy) * n;
-                        let wxy = wxa * wyb;
-                        for (c, &wzc) in wz.iter().enumerate() {
-                            let cz = (iz + c as i64).rem_euclid(n_i) as usize;
-                            v += wxy * wzc * field[row + cz];
-                        }
-                    }
-                }
-                v
-            })
-            .collect()
+        let one = mesh::gather(n, n, [field], pos);
+        one.into_iter().map(|[v]| v).collect()
     }
 
     /// Fused TSC interpolation of the three acceleration meshes and the
@@ -255,61 +150,14 @@ impl PmSolver {
         pos: &[Vec3],
     ) -> (Vec<Vec3>, Vec<f64>) {
         let n = self.params.n_mesh;
-        let n_i = n as i64;
-        let rows: Vec<(Vec3, f64)> = pos
-            .par_iter()
-            .map(|p| {
-                let ([ix, iy, iz], [wx, wy, wz]) = tsc_weights([p.x, p.y, p.z], n);
-                let mut a3 = Vec3::ZERO;
-                let mut pot = 0.0;
-                for (a, &wxa) in wx.iter().enumerate() {
-                    let cx = (ix + a as i64).rem_euclid(n_i) as usize;
-                    for (b, &wyb) in wy.iter().enumerate() {
-                        let cy = (iy + b as i64).rem_euclid(n_i) as usize;
-                        let row = (cx * n + cy) * n;
-                        let wxy = wxa * wyb;
-                        for (c, &wzc) in wz.iter().enumerate() {
-                            let cz = (iz + c as i64).rem_euclid(n_i) as usize;
-                            let w = wxy * wzc;
-                            let i = row + cz;
-                            a3.x += w * acc[0][i];
-                            a3.y += w * acc[1][i];
-                            a3.z += w * acc[2][i];
-                            pot += w * phi[i];
-                        }
-                    }
-                }
-                (a3, pot)
-            })
-            .collect();
-        rows.into_iter().unzip()
+        mesh::gather_forces(n, n, acc, phi, pos)
     }
 
     /// The full PM cycle: long-range accelerations (and potentials) at
     /// the particle positions.
     pub fn solve(&self, pos: &[Vec3], mass: &[f64]) -> PmResult {
-        assert_eq!(pos.len(), mass.len());
-        let rho = self.assign_density(pos, mass);
-        let phi = self.potential_mesh(&rho);
-        let acc = self.accel_meshes(&phi);
-        let (accel, potential) = self.interpolate_forces(&acc, &phi, pos);
-        PmResult { accel, potential }
+        PmPipeline::solve(self, pos, mass)
     }
-}
-
-/// Chunk count for parallel density assignment: a pure function of the
-/// problem size so the reduction order — and therefore the result — is
-/// identical on every host and thread count. Bounded by a scratch-mesh
-/// memory budget (each chunk owns an n³ f64 mesh) and by a minimum
-/// number of particles per chunk (below that the scatter is too cheap
-/// to amortise the reduction).
-fn assignment_chunks(n_particles: usize, n_mesh: usize) -> usize {
-    const MIN_PARTICLES_PER_CHUNK: usize = 4096;
-    const SCRATCH_BUDGET_BYTES: usize = 256 << 20;
-    let by_particles = n_particles / MIN_PARTICLES_PER_CHUNK;
-    let mesh_bytes = n_mesh * n_mesh * n_mesh * std::mem::size_of::<f64>();
-    let by_memory = SCRATCH_BUDGET_BYTES / mesh_bytes.max(1);
-    by_particles.min(by_memory).clamp(1, 8)
 }
 
 #[cfg(test)]

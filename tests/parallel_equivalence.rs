@@ -6,10 +6,10 @@
 //! Equivalence levels (documented per phase in the crates themselves):
 //! FFT passes, mesh differencing, interpolation and tree build are
 //! bitwise-identical to serial (same per-element arithmetic, placement
-//! by index); density assignment reduces per-chunk partial meshes in a
-//! fixed order, so it is deterministic at any thread count but may
-//! differ from the serial scatter by reassociation only (≲1e-12
-//! relative). Repeated runs in one process (fixed thread count) must be
+//! by index); density assignment scatters x-slabs of alternating colour
+//! in a summation order fixed by the positions, so it is deterministic
+//! at any thread count but may differ from the serial scatter by
+//! reassociation only (≲1e-12 relative). Repeated runs in one process (fixed thread count) must be
 //! bitwise-identical everywhere.
 
 use greem_repro::fft::{fft3d, fft3d_inverse, Cpx, Fft1d, Mesh3};
@@ -162,8 +162,8 @@ fn parallel_fft_matches_serial_reference_bitwise() {
 
 #[test]
 fn parallel_density_assignment_matches_serial_within_tolerance() {
-    // Enough particles that the chunked parallel path engages
-    // (assignment splits above 4096 particles per chunk).
+    // Enough particles that every x-slab of both colours scatters
+    // (16³ mesh: 8 slabs of 2 planes).
     let n = 20_000;
     let mut s = 31u64;
     let mut next = move || {
@@ -186,7 +186,8 @@ fn parallel_density_assignment_matches_serial_within_tolerance() {
         );
     }
 
-    // Fixed chunk count → deterministic regardless of thread count.
+    // Slab order fixed by the positions → deterministic regardless of
+    // thread count.
     let again = solver.assign_density(&pos, &mass);
     for (i, (p, q)) in par.iter().zip(&again).enumerate() {
         assert!(p.to_bits() == q.to_bits(), "cell {i} not reproducible");
