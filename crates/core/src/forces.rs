@@ -6,43 +6,16 @@
 //! within-process data parallelism that plays the role of the paper's
 //! OpenMP threads inside each MPI process.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use greem_kernels::{pp_accel_dispatch, SourceList, Targets};
 use greem_math::{Aabb, Vec3};
 use greem_pm::{IsolatedPmSolver, PmPipeline, PmResult, PmSolver};
-use greem_tree::{GroupWalk, Octree, SourceEntry, WalkStats};
-use rayon::prelude::*;
+use greem_tree::{GroupWalk, Octree, WalkStats};
 
 use crate::config::{Boundary, TreePmConfig};
-
-/// Per-thread scratch reused across groups in [`TreePm::compute_pp`]:
-/// the walk's stack and interaction list plus the kernel's SoA
-/// target/source buffers. One allocation set per rayon worker instead
-/// of ~ten `Vec`s per group removes the allocator from the PP hot path
-/// (thousands of groups per step).
-#[derive(Default)]
-struct PpScratch {
-    stack: Vec<usize>,
-    list: Vec<SourceEntry>,
-    targets: Targets,
-    sources: SourceList,
-}
-
-/// Output pointer shared across group tasks; each original particle
-/// index belongs to exactly one group, so writes are disjoint.
-struct SendPtr(*mut Vec3);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Accessor so closures capture the `Sync` wrapper, not the raw
-    /// pointer field (edition-2021 closures capture disjoint fields).
-    fn get(&self) -> *mut Vec3 {
-        self.0
-    }
-}
+use crate::particle::Body;
+use crate::resident::ResidentPp;
+use crate::store::ParticleStore;
 
 /// Wall/CPU seconds of the PP pipeline phases of one force evaluation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -114,73 +87,35 @@ impl TreePm {
         &self.cfg
     }
 
-    /// Evaluate PP accelerations only (tree + kernel) on a snapshot.
+    /// Evaluate PP accelerations only (tree + kernel) on a snapshot:
+    /// one fresh pass of the resident engine at `cfg.group_size`, with
+    /// no list recording and no auto-tuning, scattered back to input
+    /// order.
     pub fn compute_pp(&self, pos: &[Vec3], mass: &[f64]) -> (Vec<Vec3>, WalkStats, PpTimes) {
         assert_eq!(pos.len(), mass.len());
         #[cfg(feature = "obs")]
         let mut _pp_span = greem_obs::trace::span("force", "pp.compute");
-        let mut times = PpTimes::default();
-        let t0 = Instant::now();
-        let tree = {
-            #[cfg(feature = "obs")]
-            let _span = greem_obs::trace::span("force", "pp.tree_build");
-            Octree::build(pos, mass, Aabb::UNIT, self.cfg.tree_params())
-        };
-        times.tree_build = t0.elapsed().as_secs_f64();
-
-        #[cfg(feature = "obs")]
-        let _walk_span = greem_obs::trace::span("force", "pp.walk_force");
-        let walk = GroupWalk::new(&tree, self.cfg.traverse_params());
-        let groups = walk.groups();
-        let split = self.cfg.split();
-        let traversal_ns = AtomicU64::new(0);
-        let force_ns = AtomicU64::new(0);
-
-        // One task per group, with per-thread scratch buffers (walk
-        // stack, interaction list, kernel SoA arrays) cycled across
-        // groups instead of freshly allocated for each. Results scatter
-        // straight into the output array through disjoint original
-        // indices, so the only per-group heap traffic left is list
-        // growth beyond the high-water mark.
-        let mut accel = vec![Vec3::ZERO; pos.len()];
-        let out = SendPtr(accel.as_mut_ptr());
-        let per_group: Vec<WalkStats> = groups
-            .par_iter()
-            .map_init(PpScratch::default, |scr, &group| {
-                let t = Instant::now();
-                scr.list.clear();
-                let stats = walk.list_for_group(group, &mut scr.stack, &mut scr.list);
-                traversal_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-
-                let t = Instant::now();
-                let lo = group.first as usize;
-                let hi = lo + group.count as usize;
-                scr.targets.load_positions(&tree.pos()[lo..hi]);
-                scr.sources.clear();
-                for s in &scr.list {
-                    scr.sources.push(s.pos, s.mass);
-                }
-                pp_accel_dispatch(&mut scr.targets, &scr.sources, &split);
-                force_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-
-                for (i, &orig) in tree.orig_index()[lo..hi].iter().enumerate() {
-                    // SAFETY: each original index occurs in exactly one
-                    // group; tasks write disjoint output slots.
-                    unsafe { *out.get().add(orig as usize) = scr.targets.accel(i) };
-                }
-                stats
-            })
-            .collect();
-
-        let mut walk_stats = WalkStats::default();
-        for stats in &per_group {
-            walk_stats.merge(stats);
+        let mut store = ParticleStore::with_capacity(pos.len());
+        for (i, (&p, &m)) in pos.iter().zip(mass).enumerate() {
+            store.push(Body {
+                pos: p,
+                vel: Vec3::ZERO,
+                mass: m,
+                id: i as u64,
+            });
         }
-        times.traversal = traversal_ns.load(Ordering::Relaxed) as f64 * 1e-9;
-        times.force = force_ns.load(Ordering::Relaxed) as f64 * 1e-9;
+        let cfg = TreePmConfig {
+            list_reuse: false,
+            ..self.cfg
+        };
+        let out = ResidentPp::new().fresh(&cfg, &mut store, &mut [], 0.0, Some(cfg.group_size));
+        let mut accel = vec![Vec3::ZERO; pos.len()];
+        for (&id, &a) in store.id_column().iter().zip(&out.accel) {
+            accel[id as usize] = a;
+        }
         #[cfg(feature = "obs")]
-        _pp_span.arg("interactions", walk_stats.interactions as f64);
-        (accel, walk_stats, times)
+        _pp_span.arg("interactions", out.walk.interactions as f64);
+        (accel, out.walk, out.times)
     }
 
     /// Evaluate PM accelerations only.
@@ -282,35 +217,53 @@ impl TreePm {
 mod tests {
     use super::*;
     use greem_math::min_image_vec;
+    use greem_tree::Multipole;
 
     use greem_math::testutil::rand_positions as rand_pos;
 
+    /// At θ = 0 the walk is exact, so `compute_pp` must equal the direct
+    /// sum of the short-range pair force — minimum image under periodic
+    /// boundaries, plain separation under isolated ones — for every
+    /// multipole order, from the empty snapshot up to a size that runs
+    /// the parallel tree build.
     #[test]
     fn pp_matches_brute_force() {
-        let cfg = TreePmConfig {
-            theta: 0.0, // exact walk
-            ..TreePmConfig::standard(16)
-        };
-        let solver = TreePm::new(cfg);
-        let n = 120;
-        let pos = rand_pos(n, 3);
-        let mass = vec![1.0 / n as f64; n];
-        let (acc, walk, _) = solver.compute_pp(&pos, &mass);
-        let split = cfg.split();
-        for i in 0..n {
-            let mut want = Vec3::ZERO;
-            for j in 0..n {
-                if i != j {
-                    want += split.pp_accel(min_image_vec(pos[j], pos[i]), mass[j]);
+        for boundary in [Boundary::Periodic, Boundary::Isolated] {
+            for multipole in [Multipole::Monopole, Multipole::PseudoParticleQuad] {
+                for n in [0, 1, 120, 3000] {
+                    let cfg = TreePmConfig {
+                        theta: 0.0,
+                        multipole,
+                        boundary,
+                        ..TreePmConfig::standard(16)
+                    };
+                    let solver = TreePm::new(cfg);
+                    let pos = rand_pos(n, 3);
+                    let mass = vec![1.0 / n as f64; n];
+                    let (acc, walk, _) = solver.compute_pp(&pos, &mass);
+                    assert_eq!(acc.len(), n);
+                    let split = cfg.split();
+                    for i in 0..n {
+                        let mut want = Vec3::ZERO;
+                        for j in 0..n {
+                            if i != j {
+                                let d = match boundary {
+                                    Boundary::Periodic => min_image_vec(pos[j], pos[i]),
+                                    Boundary::Isolated => pos[j] - pos[i],
+                                };
+                                want += split.pp_accel(d, mass[j]);
+                            }
+                        }
+                        assert!(
+                            (acc[i] - want).norm() < 1e-6 * want.norm().max(1e-9),
+                            "{boundary:?} {multipole:?} n={n} i={i}: {:?} vs {want:?}",
+                            acc[i]
+                        );
+                    }
+                    assert_eq!(walk.sum_ni, n as u64);
                 }
             }
-            assert!(
-                (acc[i] - want).norm() < 1e-6 * want.norm().max(1e-9),
-                "i={i}: {:?} vs {want:?}",
-                acc[i]
-            );
         }
-        assert_eq!(walk.sum_ni, n as u64);
     }
 
     #[test]

@@ -42,9 +42,10 @@ use crate::config::TreePmConfig;
 use crate::forces::PpTimes;
 use crate::store::{permute_vec3, ParticleStore, PermScratch};
 
-/// Per-thread scratch cycled across groups (same shape as the
-/// `TreePm::compute_pp` scratch): walk stack, interaction list, kernel
-/// SoA buffers.
+/// Per-thread scratch cycled across groups: walk stack, interaction
+/// list, kernel SoA buffers. One allocation set per rayon worker
+/// instead of ~ten `Vec`s per group keeps the allocator off the PP hot
+/// path.
 #[derive(Default)]
 struct PpScratch {
     stack: Vec<usize>,
@@ -197,7 +198,7 @@ impl ResidentPp {
         if try_replay && self.replay_valid(cfg, store) {
             return self.replay(cfg, store);
         }
-        self.fresh(cfg, store, companions, drift_bound)
+        self.fresh(cfg, store, companions, drift_bound, None)
     }
 
     /// Is the cached list set sound for the store's current positions?
@@ -304,12 +305,15 @@ impl ResidentPp {
     }
 
     /// Fresh pass: sort, permute, build, walk (optionally recording).
-    fn fresh(
+    /// `group_size` pins the walk's group size; `None` takes the tuner's
+    /// probe or the configured size.
+    pub(crate) fn fresh(
         &mut self,
         cfg: &TreePmConfig,
         store: &mut ParticleStore,
         companions: &mut [&mut Vec<Vec3>],
         drift_bound: f64,
+        group_size: Option<usize>,
     ) -> PpOutcome {
         let mut times = PpTimes::default();
         let n = store.len();
@@ -331,7 +335,7 @@ impl ResidentPp {
         }
         times.tree_build = t0.elapsed().as_secs_f64();
 
-        let group_size = self.next_group_size(cfg);
+        let group_size = group_size.unwrap_or_else(|| self.next_group_size(cfg));
         let record = cfg.list_reuse && matches!(cfg.multipole, Multipole::Monopole);
         // Margin: 3× the last drift leaves 1.5× headroom per particle for
         // the next subcycle's (similar-sized) drift; the 0.1·r_cut clamp
@@ -638,38 +642,68 @@ mod tests {
         }
     }
 
-    /// The Morton-resident fresh pass must be bitwise identical to the
-    /// seed AoS path (`TreePm::compute_pp`) at matched group size: same
-    /// tree, same groups, same list order, same kernel — the permuted
-    /// output read back through the row ids equals the AoS output in
-    /// original order, bit for bit. Margin inflation (list_reuse on)
-    /// must not change a single bit either: beyond-cutoff sources are
-    /// masked to exact ±0.0 by every kernel.
+    fn assert_bitwise(a: Vec3, b: Vec3, what: &str) {
+        assert!(
+            a.x.to_bits() == b.x.to_bits()
+                && a.y.to_bits() == b.y.to_bits()
+                && a.z.to_bits() == b.z.to_bits(),
+            "{what}: {a:?} vs {b:?}"
+        );
+    }
+
+    /// Margin inflation (list_reuse on) must not change a single bit of
+    /// a fresh pass: the recording walk's extra beyond-cutoff sources
+    /// are masked to exact ±0.0 by every kernel, and the sort does not
+    /// depend on the flag.
     #[test]
-    fn fresh_pass_is_bitwise_identical_to_aos_path() {
-        for list_reuse in [false, true] {
+    fn recording_fresh_pass_is_bitwise_identical_to_plain() {
+        let bodies = rand_bodies(230, 7);
+        let run = |list_reuse: bool| {
             let cfg = TreePmConfig {
                 group_size: 24,
                 list_reuse,
                 ..TreePmConfig::standard(16)
             };
-            let bodies = rand_bodies(230, 7);
-            let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
-            let mass: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
-            let (want, want_walk, _) = TreePm::new(cfg).compute_pp(&pos, &mass);
-
             let mut store = ParticleStore::from_bodies(&bodies);
-            let mut engine = ResidentPp::new();
-            let out = engine.compute(&cfg, &mut store, &mut [], false, 1e-3);
+            let out = ResidentPp::new().compute(&cfg, &mut store, &mut [], false, 1e-3);
             assert!(!out.replayed);
-            assert_eq!(out.walk.n_groups, want_walk.n_groups);
-            for row in 0..store.len() {
-                let orig = store.id_column()[row] as usize;
-                assert_eq!(
-                    out.accel[row], want[orig],
-                    "row {row} (orig {orig}) differs (list_reuse={list_reuse})"
-                );
-            }
+            (store, out)
+        };
+        let (plain_store, plain) = run(false);
+        let (rec_store, rec) = run(true);
+        assert_eq!(plain_store.id_column(), rec_store.id_column());
+        assert_eq!(plain.walk.n_groups, rec.walk.n_groups);
+        for (row, (&a, &b)) in rec.accel.iter().zip(&plain.accel).enumerate() {
+            assert_bitwise(a, b, &format!("row {row}"));
+        }
+    }
+
+    /// `TreePm::compute_pp` is the resident fresh pass scattered back to
+    /// input order: its output equals the engine's, read through the
+    /// permuted store's id column, bit for bit.
+    #[test]
+    fn compute_pp_is_the_fresh_pass_in_input_order() {
+        let cfg = TreePmConfig {
+            group_size: 24,
+            list_reuse: false,
+            ..TreePmConfig::standard(16)
+        };
+        let bodies = rand_bodies(230, 7);
+        let pos: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
+        let mass: Vec<f64> = bodies.iter().map(|b| b.mass).collect();
+        let (want, want_walk, _) = TreePm::new(cfg).compute_pp(&pos, &mass);
+
+        let mut store = ParticleStore::from_bodies(&bodies);
+        let out = ResidentPp::new().compute(&cfg, &mut store, &mut [], false, 0.0);
+        assert_eq!(out.walk.n_groups, want_walk.n_groups);
+        assert_eq!(out.walk.interactions, want_walk.interactions);
+        for (row, &id) in store.id_column().iter().enumerate() {
+            let orig = id as usize;
+            assert_bitwise(
+                out.accel[row],
+                want[orig],
+                &format!("row {row} (orig {orig})"),
+            );
         }
     }
 

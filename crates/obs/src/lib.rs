@@ -9,9 +9,9 @@
 //!   when the thread is an `mpisim` rank, that rank's *virtual* clock, so a
 //!   simulated multi-rank run yields a real per-rank timeline.
 //! * [`metrics`] — a registry of counters/gauges/histograms with fixed
-//!   label sets. Existing stats structs (`PhaseTimer`, `CommStats`,
-//!   `WalkStats`, `StepBreakdown`, …) feed it through the [`Observe`]
-//!   trait, unifying them under one schema.
+//!   label sets. Existing stats structs (`CommStats`, `WalkStats`,
+//!   `StepBreakdown`, …) feed it through the [`Observe`] trait, unifying
+//!   them under one schema.
 //! * [`sketch`] — mergeable log-bucketed quantile sketches ([`DdSketch`])
 //!   and keyed families of them ([`sketch::Rollup`]): the bounded-memory
 //!   cross-rank per-phase distribution machinery that replaces

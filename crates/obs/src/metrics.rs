@@ -1,7 +1,7 @@
 //! Metrics registry: counters, gauges and histograms with fixed label
 //! sets, plus the [`Observe`] trait through which the existing stats
-//! structs (`PhaseTimer`, `CommStats`, `WalkStats`, `StepBreakdown`,
-//! Table I rows, …) feed one unified schema.
+//! structs (`CommStats`, `WalkStats`, `StepBreakdown`, Table I rows, …)
+//! feed one unified schema.
 
 use std::collections::BTreeMap;
 

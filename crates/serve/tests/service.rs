@@ -135,6 +135,37 @@ fn job_lifecycle_status_metrics_and_replay_stream() {
     handle.shutdown();
 }
 
+/// Hostile JSON fails closed at the daemon: 60 000 `[` bytes fit under
+/// `MAX_BODY` but nest far past the parser's depth limit. The request
+/// must get a 400 (not a stack overflow that aborts the process), and
+/// the same server must go on to run a valid job to completion.
+#[test]
+fn deeply_nested_json_body_is_rejected_and_daemon_keeps_serving() {
+    let handle = start(test_config("hostile_json")).unwrap();
+    let addr = handle.addr_str();
+
+    let body = "[".repeat(60_000);
+    assert!(body.len() < http::MAX_BODY);
+    let resp = http::request(&addr, "POST", "/jobs", Some(&body)).unwrap();
+    assert_eq!(resp.status, 400, "body: {}", resp.body_str());
+    let err = json::parse(&resp.body_str()).unwrap();
+    assert!(err.get("error").is_some());
+
+    assert_eq!(
+        http::request(&addr, "GET", "/healthz", None)
+            .unwrap()
+            .status,
+        200
+    );
+    let (status, sub) = submit(&addr, r#"{"n": 64, "steps": 2, "mesh": 8}"#);
+    assert_eq!(status, 202);
+    let id = sub.get("id").and_then(Value::as_str).unwrap().to_string();
+    let done = wait_done(&addr, &id, Duration::from_secs(60));
+    assert_eq!(done.get("state").and_then(Value::as_str), Some("done"));
+
+    handle.shutdown();
+}
+
 /// The acceptance criterion: a fault-injected crash mid-job triggers
 /// rollback-restart underneath a subscriber that connected *before*
 /// the fault — its stream shows the rollback counter jump and still

@@ -1,10 +1,8 @@
-//! Persistent arena octree over borrowed SoA particle columns.
+//! Persistent arena octree over borrowed SoA particle columns — the
+//! one tree builder of the crate.
 //!
-//! [`Octree::build`](crate::Octree::build) copies and Morton-sorts the
-//! particle snapshot on every call — at one build per PP subcycle those
-//! gathers and fresh `Vec`s dominate the tree cost. [`TreeArena`] splits
-//! construction in two and keeps every buffer alive across steps
-//! (grow-only, `clear()` + rebuild):
+//! [`TreeArena`] splits construction in two and keeps every buffer
+//! alive across steps (grow-only, `clear()` + rebuild):
 //!
 //! 1. [`sort`](TreeArena::sort) computes the `(MortonKey, slot)` order
 //!    for the caller's position columns and returns the permutation;
@@ -14,14 +12,19 @@
 //! 3. [`build`](TreeArena::build) constructs the node arena directly
 //!    over the now-sorted columns, borrowing instead of gathering.
 //!
-//! The node builders are shared with `Octree` (generic over
-//! [`PosRead`](crate::build::PosRead)), so for the same input order the
-//! arena's nodes are **bitwise identical** to `Octree::build`'s.
+//! Above `PAR_BUILD_CUTOFF` particles the sort runs in parallel and the
+//! eight top-level octant subtrees build as parallel tasks. Both phases
+//! are generic over the crate-private `PosRead`, so
+//! [`Octree::build`](crate::Octree::build) runs them over its gathered
+//! AoS slice; [`Octree::build_serial`](crate::Octree::build_serial) is
+//! the serial reference they match **bitwise**.
 
 use greem_math::{Aabb, MortonKey, Vec3};
 use rayon::prelude::*;
 
-use crate::build::{build_arena, make_node, Node, PosRead, SoaPos, TreeParams, PAR_BUILD_CUTOFF};
+use crate::build::{
+    build_arena, make_node, morton_frame, Node, PosRead, SoaPos, TreeParams, PAR_BUILD_CUTOFF,
+};
 use crate::traverse::TreeSource;
 
 /// A persistent flat-arena octree; see the module docs for the
@@ -83,32 +86,27 @@ impl TreeArena {
     }
 
     /// Phase 1: compute the Morton `(key, slot)` sort of the given
-    /// position columns inside `root_box` (expanded to a cube, like
-    /// `Octree::build`). Returns the permutation: sorted slot `k` is
-    /// input row `order[k]`. The caller must permute its columns by this
-    /// order before calling [`build`](Self::build).
+    /// position columns inside `root_box` (expanded to a cube). Returns
+    /// the permutation: sorted slot `k` is input row `order[k]`. The
+    /// caller must permute its columns by this order before calling
+    /// [`build`](Self::build).
     pub fn sort(&mut self, x: &[f64], y: &[f64], z: &[f64], root_box: Aabb) -> &[u32] {
         assert_eq!(x.len(), y.len());
         assert_eq!(x.len(), z.len());
-        let n = x.len();
+        self.sort_pos(&SoaPos { x, y, z }, x.len(), root_box)
+    }
+
+    /// [`sort`](Self::sort) over any position layout holding `n`
+    /// particles.
+    pub(crate) fn sort_pos<P: PosRead + ?Sized>(
+        &mut self,
+        pos: &P,
+        n: usize,
+        root_box: Aabb,
+    ) -> &[u32] {
         let parallel = n >= PAR_BUILD_CUTOFF;
-        let side = root_box.max_extent().max(f64::MIN_POSITIVE);
-        let root_box = Aabb::new(
-            root_box.center() - Vec3::splat(0.5 * side),
-            root_box.center() + Vec3::splat(0.5 * side),
-        );
+        let (root_box, key_of) = morton_frame(root_box);
         self.root_box = root_box;
-        let scale = Vec3::splat(1.0 / side);
-        let key_of = |p: Vec3| {
-            let q = (p - root_box.lo).hadamard(scale);
-            debug_assert!(
-                (-1e-9..1.0 + 1e-9).contains(&q.x)
-                    && (-1e-9..1.0 + 1e-9).contains(&q.y)
-                    && (-1e-9..1.0 + 1e-9).contains(&q.z),
-                "particle outside root box: {p:?}"
-            );
-            MortonKey::from_unit_pos(q.x, q.y, q.z)
-        };
         self.keys.clear();
         self.order.clear();
         self.order.extend(0..n as u32);
@@ -118,15 +116,14 @@ impl TreeArena {
             // common per-rank size) is fully allocation-free once warm.
             self.keys = (0..n)
                 .into_par_iter()
-                .map(|i| key_of(Vec3::new(x[i], y[i], z[i])))
+                .map(|i| key_of(pos.pos_at(i)))
                 .collect();
             let keys = &self.keys;
             self.order
                 .par_sort_unstable_by_key(|&i| (keys[i as usize], i));
             self.sorted_keys = self.order.par_iter().map(|&i| keys[i as usize]).collect();
         } else {
-            self.keys
-                .extend((0..n).map(|i| key_of(Vec3::new(x[i], y[i], z[i]))));
+            self.keys.extend((0..n).map(|i| key_of(pos.pos_at(i))));
             let keys = &self.keys;
             self.order.sort_unstable_by_key(|&i| (keys[i as usize], i));
             self.sorted_keys.clear();
@@ -139,9 +136,19 @@ impl TreeArena {
     /// Phase 2: build the node arena over columns the caller has already
     /// permuted into the order returned by [`sort`](Self::sort).
     pub fn build(&mut self, x: &[f64], y: &[f64], z: &[f64], m: &[f64], params: TreeParams) {
-        let n = x.len();
+        assert_eq!(x.len(), m.len());
+        self.build_pos(&SoaPos { x, y, z }, m, params);
+    }
+
+    /// [`build`](Self::build) over any sorted position layout.
+    pub(crate) fn build_pos<P: PosRead + ?Sized>(
+        &mut self,
+        pos: &P,
+        m: &[f64],
+        params: TreeParams,
+    ) {
+        let n = m.len();
         assert_eq!(n, self.sorted_keys.len(), "build before sort?");
-        assert_eq!(n, m.len());
         self.nodes.clear();
         if n == 0 {
             return;
@@ -151,13 +158,12 @@ impl TreeArena {
         let parallel = n >= PAR_BUILD_CUTOFF;
         let splitting_root = n > params.leaf_capacity && params.max_depth > 0;
         if parallel && splitting_root {
-            self.build_parallel_root(x, y, z, m, center, half, &params);
+            self.build_parallel_root(pos, m, center, half, &params);
         } else {
-            let pos = SoaPos { x, y, z };
             build_arena(
                 &mut self.nodes,
                 &self.sorted_keys,
-                &pos,
+                pos,
                 m,
                 0,
                 n,
@@ -169,26 +175,25 @@ impl TreeArena {
         }
     }
 
-    /// Root node plus eight parallel per-octant subtrees, concatenated
-    /// in octant order with rebased child indices — the same layout as
-    /// the serial DFS (see `Octree::build_parallel_root`). Sub-arena
-    /// buffers are reused across calls.
-    #[allow(clippy::too_many_arguments)]
-    fn build_parallel_root(
+    /// Build the root node, then the eight top-level subtrees as
+    /// parallel tasks. Sub-arenas are concatenated in octant order with
+    /// child indices rebased, reproducing the serial DFS layout exactly
+    /// (a serial DFS emits each octant's whole subtree contiguously, in
+    /// octant order, right after the root).
+    fn build_parallel_root<P: PosRead + ?Sized>(
         &mut self,
-        x: &[f64],
-        y: &[f64],
-        z: &[f64],
+        pos: &P,
         m: &[f64],
         center: Vec3,
         half: f64,
         params: &TreeParams,
     ) {
-        let n = x.len();
-        let pos = SoaPos { x, y, z };
-        let mut root = make_node(&pos, m, 0, n, center, half);
+        let n = m.len();
+        let mut root = make_node(pos, m, 0, n, center, half);
         root.is_leaf = false;
         self.nodes.push(root);
+        // Octant sub-ranges: particles are key-sorted, so each is a
+        // contiguous run of the level-0 digit.
         let keys = &self.sorted_keys;
         let mut ranges: Vec<(u8, usize, usize)> = Vec::with_capacity(8);
         let mut start = 0;
@@ -214,7 +219,7 @@ impl TreeArena {
                 build_arena(
                     &mut sub,
                     keys,
-                    &SoaPos { x, y, z },
+                    pos,
                     m,
                     first,
                     last,
@@ -299,6 +304,11 @@ impl TreeArena {
         self.root_box
     }
 
+    /// The root box, node arena and sort permutation, moved out.
+    pub(crate) fn into_parts(self) -> (Aabb, Vec<Node>, Vec<u32>) {
+        (self.root_box, self.nodes, self.order)
+    }
+
     /// Pair the arena with the caller's sorted columns for traversal.
     pub fn view<'a>(
         &'a self,
@@ -346,15 +356,15 @@ mod tests {
         }
     }
 
-    /// Sort + permute + build over columns must reproduce `Octree::build`
-    /// bitwise — same permutation, same nodes — both below and above the
-    /// parallel-build cutoff.
+    /// Sort + permute + build over columns must reproduce the serial
+    /// reference `Octree::build_serial` bitwise — same permutation, same
+    /// nodes — both below and above the parallel-build cutoff.
     #[test]
     fn arena_matches_octree_bitwise() {
         for n in [300usize, 5000] {
             let pos = rand_positions(n, 7);
             let masses: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64 * 0.25).collect();
-            let reference = Octree::build(&pos, &masses, Aabb::UNIT, TreeParams::default());
+            let reference = Octree::build_serial(&pos, &masses, Aabb::UNIT, TreeParams::default());
 
             let (x, y, z) = columns(&pos);
             let mut arena = TreeArena::new();

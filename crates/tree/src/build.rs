@@ -1,22 +1,28 @@
-//! Octree construction from Morton-sorted particles.
+//! Octree nodes, the node builders, and the [`Octree`] snapshot tree.
 //!
-//! Construction is parallel: key computation, the Morton sort, the
-//! permutation gathers, and the eight top-level subtrees all run as
-//! rayon tasks. The sort key is the total order `(MortonKey, slot)` and
-//! the eight sub-arenas are concatenated in octant order, which
-//! reproduces the serial DFS node layout exactly — `build` and
-//! `build_serial` return bitwise-identical trees at any thread count.
+//! The node builders (`make_node`, `build_arena`) are generic over
+//! `PosRead`, so the persistent arena's SoA columns and the
+//! `Octree`'s AoS slice run the *same* FP instruction sequence. An
+//! `Octree` is a thin owner of a [`TreeArena`]'s output:
+//! [`Octree::build`] is `TreeArena::sort` + gather + the arena's node
+//! build (parallel above `PAR_BUILD_CUTOFF`), and
+//! [`Octree::build_serial`] is the serial reference — a serial
+//! `(MortonKey, slot)` sort plus one DFS `build_arena`. The sort key is
+//! a total order and the arena concatenates its octant subtrees in
+//! octant order, so the two return bitwise-identical trees at any
+//! thread count.
 
 use greem_math::{Aabb, MortonKey, Sym3, Vec3};
-use rayon::prelude::*;
+
+use crate::arena::TreeArena;
 
 /// Below this particle count the whole build runs serially — the
 /// broadcast/latch overhead of eight subtree tasks outweighs the work.
 pub(crate) const PAR_BUILD_CUTOFF: usize = 2048;
 
-/// Position storage the node builders can read: an AoS `[Vec3]` slice
-/// (the classic [`Octree`]) or the SoA columns of the persistent arena
-/// (`crate::arena`). Monomorphised, so both paths run the *same* FP
+/// Position storage the sort and the node builders can read: an AoS
+/// `[Vec3]` slice (the [`Octree`]) or the SoA columns of the persistent
+/// arena (`crate::arena`). Monomorphised, so both paths run the *same* FP
 /// instruction sequence — the moment sums stay bitwise identical
 /// across layouts.
 pub(crate) trait PosRead: Sync {
@@ -142,7 +148,20 @@ impl Octree {
     /// cube internally (recursive bisection produces cubic cells, which
     /// the opening criterion's `ℓ/d` assumes).
     pub fn build(positions: &[Vec3], masses: &[f64], root_box: Aabb, params: TreeParams) -> Octree {
-        Self::build_impl(positions, masses, root_box, params, true)
+        assert_eq!(positions.len(), masses.len());
+        let mut arena = TreeArena::new();
+        let order = arena.sort_pos(positions, positions.len(), root_box);
+        let pos: Vec<Vec3> = order.iter().map(|&i| positions[i as usize]).collect();
+        let mass: Vec<f64> = order.iter().map(|&i| masses[i as usize]).collect();
+        arena.build_pos(pos.as_slice(), &mass, params);
+        let (root_box, nodes, orig_index) = arena.into_parts();
+        Octree {
+            root_box,
+            nodes,
+            pos,
+            mass,
+            orig_index,
+        }
     }
 
     /// Serial reference build: identical result to [`build`](Self::build)
@@ -154,153 +173,41 @@ impl Octree {
         root_box: Aabb,
         params: TreeParams,
     ) -> Octree {
-        Self::build_impl(positions, masses, root_box, params, false)
-    }
-
-    fn build_impl(
-        positions: &[Vec3],
-        masses: &[f64],
-        root_box: Aabb,
-        params: TreeParams,
-        parallel: bool,
-    ) -> Octree {
         assert_eq!(positions.len(), masses.len());
         let n = positions.len();
-        let parallel = parallel && n >= PAR_BUILD_CUTOFF;
-        let side = root_box.max_extent().max(f64::MIN_POSITIVE);
-        let root_box = Aabb::new(
-            root_box.center() - Vec3::splat(0.5 * side),
-            root_box.center() + Vec3::splat(0.5 * side),
-        );
-        let scale = Vec3::splat(1.0 / side);
-        let key_of = |p: &Vec3| {
-            let q = (*p - root_box.lo).hadamard(scale);
-            debug_assert!(
-                (-1e-9..1.0 + 1e-9).contains(&q.x)
-                    && (-1e-9..1.0 + 1e-9).contains(&q.y)
-                    && (-1e-9..1.0 + 1e-9).contains(&q.z),
-                "particle outside root box: {p:?}"
-            );
-            MortonKey::from_unit_pos(q.x, q.y, q.z)
-        };
-        // Morton-sort an index permutation. The `(key, slot)` pair is a
-        // total order, so the permutation is unique — equal keys keep
-        // input order — and serial and parallel sorts agree exactly.
+        let (root_box, key_of) = morton_frame(root_box);
+        let keys: Vec<MortonKey> = positions.iter().map(|&p| key_of(p)).collect();
+        // The `(key, slot)` pair is a total order, so the permutation is
+        // unique — equal keys keep input order — and this sort agrees
+        // exactly with the arena's parallel one.
         let mut order: Vec<u32> = (0..n as u32).collect();
-        let (keys, pos, mass): (Vec<MortonKey>, Vec<Vec3>, Vec<f64>);
-        if parallel {
-            keys = positions.par_iter().map(key_of).collect();
-            order.par_sort_unstable_by_key(|&i| (keys[i as usize], i));
-            pos = order.par_iter().map(|&i| positions[i as usize]).collect();
-            mass = order.par_iter().map(|&i| masses[i as usize]).collect();
-        } else {
-            keys = positions.iter().map(key_of).collect();
-            order.sort_unstable_by_key(|&i| (keys[i as usize], i));
-            pos = order.iter().map(|&i| positions[i as usize]).collect();
-            mass = order.iter().map(|&i| masses[i as usize]).collect();
-        }
+        order.sort_unstable_by_key(|&i| (keys[i as usize], i));
         let sorted_keys: Vec<MortonKey> = order.iter().map(|&i| keys[i as usize]).collect();
-
-        let mut tree = Octree {
-            root_box,
-            nodes: Vec::with_capacity(n / 2 + 8),
-            pos,
-            mass,
-            orig_index: order,
-        };
-        if n == 0 {
-            return tree;
-        }
-        let center = root_box.center();
-        let half = root_box.max_extent() * 0.5;
-        let splitting_root = n > params.leaf_capacity && params.max_depth > 0;
-        if parallel && splitting_root {
-            tree.build_parallel_root(&sorted_keys, center, half, &params);
-        } else {
+        let pos: Vec<Vec3> = order.iter().map(|&i| positions[i as usize]).collect();
+        let mass: Vec<f64> = order.iter().map(|&i| masses[i as usize]).collect();
+        let mut nodes = Vec::new();
+        if n > 0 {
+            let half = root_box.max_extent() * 0.5;
+            let pos = pos.as_slice();
             build_arena(
-                &mut tree.nodes,
+                &mut nodes,
                 &sorted_keys,
-                tree.pos.as_slice(),
-                &tree.mass,
+                pos,
+                &mass,
                 0,
                 n,
                 0,
-                center,
+                root_box.center(),
                 half,
                 &params,
             );
         }
-        tree
-    }
-
-    /// Build the root node, then the eight top-level subtrees as
-    /// parallel tasks. Sub-arenas are concatenated in octant order with
-    /// child indices rebased, reproducing the serial DFS layout exactly
-    /// (a serial DFS emits each octant's whole subtree contiguously, in
-    /// octant order, right after the root).
-    fn build_parallel_root(
-        &mut self,
-        keys: &[MortonKey],
-        center: Vec3,
-        half: f64,
-        params: &TreeParams,
-    ) {
-        let n = self.pos.len();
-        debug_assert!(self.nodes.is_empty());
-        let mut root = make_node(self.pos.as_slice(), &self.mass, 0, n, center, half);
-        root.is_leaf = false;
-        self.nodes.push(root);
-        // Octant sub-ranges: particles are key-sorted, so each is a
-        // contiguous run of the level-0 digit.
-        let mut ranges: Vec<(u8, usize, usize)> = Vec::with_capacity(8);
-        let mut start = 0;
-        while start < n {
-            let oct = keys[start].octant_at_level(0);
-            let mut end = start + 1;
-            while end < n && keys[end].octant_at_level(0) == oct {
-                end += 1;
-            }
-            ranges.push((oct, start, end));
-            start = end;
-        }
-        let quarter = half * 0.5;
-        let pos = self.pos.as_slice();
-        let mass = &self.mass;
-        let subs: Vec<(u8, Vec<Node>)> = ranges
-            .into_par_iter()
-            .map(|(oct, first, last)| {
-                let off = Vec3::new(
-                    if oct & 0b100 != 0 { quarter } else { -quarter },
-                    if oct & 0b010 != 0 { quarter } else { -quarter },
-                    if oct & 0b001 != 0 { quarter } else { -quarter },
-                );
-                let mut sub = Vec::new();
-                build_arena(
-                    &mut sub,
-                    keys,
-                    pos,
-                    mass,
-                    first,
-                    last,
-                    1,
-                    center + off,
-                    quarter,
-                    params,
-                );
-                (oct, sub)
-            })
-            .collect();
-        for (oct, sub) in subs {
-            let offset = self.nodes.len() as i32;
-            self.nodes[0].child[oct as usize] = offset;
-            self.nodes.extend(sub.into_iter().map(|mut node| {
-                for c in node.child.iter_mut() {
-                    if *c >= 0 {
-                        *c += offset;
-                    }
-                }
-                node
-            }));
+        Octree {
+            root_box,
+            nodes,
+            pos,
+            mass,
+            orig_index: order,
         }
     }
 
@@ -343,6 +250,29 @@ impl Octree {
     pub fn root(&self) -> Option<&Node> {
         self.nodes.first()
     }
+}
+
+/// `root_box` expanded to a cube about its centre, and the Morton key of
+/// a position inside that cube. Both builders key through this, so the
+/// parallel and serial sorts agree bit for bit.
+pub(crate) fn morton_frame(root_box: Aabb) -> (Aabb, impl Fn(Vec3) -> MortonKey + Sync) {
+    let side = root_box.max_extent().max(f64::MIN_POSITIVE);
+    let cube = Aabb::new(
+        root_box.center() - Vec3::splat(0.5 * side),
+        root_box.center() + Vec3::splat(0.5 * side),
+    );
+    let (lo, scale) = (cube.lo, Vec3::splat(1.0 / side));
+    let key_of = move |p: Vec3| {
+        let q = (p - lo).hadamard(scale);
+        debug_assert!(
+            (-1e-9..1.0 + 1e-9).contains(&q.x)
+                && (-1e-9..1.0 + 1e-9).contains(&q.y)
+                && (-1e-9..1.0 + 1e-9).contains(&q.z),
+            "particle outside root box: {p:?}"
+        );
+        MortonKey::from_unit_pos(q.x, q.y, q.z)
+    };
+    (cube, key_of)
 }
 
 /// Node over sorted slots `[first, last)`: moments and geometry, no

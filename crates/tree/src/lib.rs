@@ -22,6 +22,12 @@
 //! GreeM choice), supports periodic (minimum-image) and open boundaries,
 //! and reports the walk statistics (⟨Ni⟩, ⟨Nj⟩, interaction counts) that
 //! appear in the paper's Table I.
+//!
+//! There is one builder, [`TreeArena`]: a persistent arena over borrowed
+//! SoA columns that the PP engine keeps across steps. [`Octree`] is a
+//! thin owner of one arena build over a copied, sorted AoS snapshot (for
+//! one-off trees such as the open-box pure-tree baseline);
+//! [`Octree::build_serial`] is the serial reference both match bitwise.
 
 pub mod arena;
 pub mod build;
