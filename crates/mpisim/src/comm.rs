@@ -16,18 +16,19 @@
 //! the simulated network sees a realistic message pattern, which is the
 //! whole point: the relay-mesh experiment is *about* those patterns.
 //!
-//! The phantom engine (see [`crate::script`] and DESIGN.md §16) replays
-//! the same edge patterns without payloads; its per-rank schedules live
-//! in [`sched`] at the bottom of this file and **must** stay in
-//! lockstep with the threaded implementations — the
-//! `phantom_equivalence` integration tests enforce bitwise-identical
-//! virtual clocks between the two.
+//! Each of barrier, bcast, reduce, gather and allgather is written once,
+//! as a per-rank action list in `sched`. Two executors walk those
+//! lists: the collective methods of [`Comm`] below, which carry real
+//! payloads between rank threads, and the phantom engine (see
+//! [`crate::script`] and DESIGN.md §16), which carries only modelled
+//! sizes. `alltoallv` and `split` exist only here, on threads.
 
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::ctx::Ctx;
+use sched::{Act, Part};
 
 /// Reserved tag space for collectives (top bit set).
 const COLL_TAG_BASE: u64 = 1 << 63;
@@ -43,6 +44,21 @@ enum CollOp {
     AllToAll = 5,
     Split = 6,
     AllGather = 7,
+}
+
+impl CollOp {
+    /// The collective's `comm` tracing span name.
+    fn name(self) -> &'static str {
+        match self {
+            CollOp::Barrier => "barrier",
+            CollOp::Bcast => "bcast",
+            CollOp::Reduce => "reduce",
+            CollOp::Gather => "gather",
+            CollOp::AllToAll => "alltoallv",
+            CollOp::Split => "split",
+            CollOp::AllGather => "allgather",
+        }
+    }
 }
 
 /// A communicator: an ordered subset of world ranks, with this rank's
@@ -166,48 +182,48 @@ impl Comm {
         f(self, ctx)
     }
 
+    /// The threaded executor of the [`sched`] patterns: walk this
+    /// rank's action list for one collective in order, handing each
+    /// action to `on` with its peer resolved, so `on` only says what the
+    /// payload is. Byte counts come from the real payloads, so the
+    /// schedule's modelled sizes are passed as 0. A collective's
+    /// messages share one tag; where one edge carries two (a Bruck
+    /// round's header and blocks), per-edge send order tells them
+    /// apart, as the phantom engine's per-edge FIFOs do.
+    fn execute(
+        &self,
+        ctx: &mut Ctx,
+        op: CollOp,
+        schedule: impl FnOnce(&mut Vec<Act>),
+        mut on: impl FnMut(&mut Ctx, Link, Act),
+    ) {
+        self.traced(ctx, op.name(), |c, ctx| {
+            let tag = c.next_tag(op);
+            let mut acts = Vec::new();
+            schedule(&mut acts);
+            for act in acts {
+                let (Act::Send(peer, ..) | Act::Recv(peer, _)) = act;
+                let link = Link {
+                    peer: peer as usize,
+                    global: c.ranks[peer as usize],
+                    comm_id: c.id,
+                    tag,
+                };
+                on(ctx, link, act);
+            }
+        })
+    }
+
     /// Synchronise all members: binomial fan-in to local rank 0, fan-out
     /// back. On return every member's virtual clock is at least the
     /// latest pre-barrier clock plus the tree traversal cost.
     pub fn barrier(&self, ctx: &mut Ctx) {
-        self.traced(ctx, "barrier", Self::barrier_impl);
-    }
-
-    fn barrier_impl(&self, ctx: &mut Ctx) {
-        let tag = self.next_tag(CollOp::Barrier);
-        let p = self.size();
-        if p == 1 {
-            return;
-        }
-        let r = self.my_rank;
-        // Fan-in: leaves first.
-        let mut k = 1;
-        while k < p {
-            if r & k != 0 {
-                ctx.send_raw::<u8>(self.ranks[r - k], self.id, tag, Vec::new());
-                break;
-            } else if r + k < p {
-                let _ = ctx.recv_raw::<u8>(self.ranks[r + k], self.id, tag);
-            }
-            k <<= 1;
-        }
-        // Fan-out, mirrored.
-        let mut k = {
-            let mut k = 1;
-            while k < p {
-                k <<= 1;
-            }
-            k >> 1
-        };
-        while k >= 1 {
-            if r & k != 0 {
-                let _ = ctx.recv_raw::<u8>(self.ranks[r - k], self.id, tag + (1 << 7));
-                break;
-            } else if r + k < p {
-                ctx.send_raw::<u8>(self.ranks[r + k], self.id, tag + (1 << 7), Vec::new());
-            }
-            k >>= 1;
-        }
+        let (p, r) = (self.size(), self.my_rank);
+        let schedule = |out: &mut Vec<Act>| sched::barrier(p, r, out);
+        self.execute(ctx, CollOp::Barrier, schedule, |ctx, link, act| match act {
+            Act::Send(..) => link.send::<u8>(ctx, Vec::new()),
+            Act::Recv(..) => drop(link.recv::<u8>(ctx)),
+        });
     }
 
     /// Broadcast `data` from local rank `root` to every member. Non-root
@@ -219,34 +235,14 @@ impl Comm {
         root: usize,
         data: Option<Vec<T>>,
     ) -> Vec<T> {
-        self.traced(ctx, "bcast", move |c, ctx| c.bcast_impl(ctx, root, data))
-    }
-
-    fn bcast_impl<T: Clone + Send + 'static>(
-        &self,
-        ctx: &mut Ctx,
-        root: usize,
-        data: Option<Vec<T>>,
-    ) -> Vec<T> {
-        let tag = self.next_tag(CollOp::Bcast);
-        let p = self.size();
-        let rel = (self.my_rank + p - root) % p;
-        let buf = if rel == 0 {
-            data.expect("bcast root must supply data")
-        } else {
-            // Receive from the parent in the binomial tree: the sender is
-            // rel - k for the highest set bit k of rel.
-            let k = highest_bit(rel);
-            let src = self.ranks[(rel - k + root) % p];
-            ctx.recv_raw::<T>(src, self.id, tag)
-        };
-        // Forward to children: rel + k for k above rel's highest bit.
-        let mut k = if rel == 0 { 1 } else { highest_bit(rel) << 1 };
-        while rel + k < p {
-            let dst = self.ranks[(rel + k + root) % p];
-            ctx.send_raw(dst, self.id, tag, buf.clone());
-            k <<= 1;
-        }
+        let (p, r) = (self.size(), self.my_rank);
+        assert!(r != root || data.is_some(), "bcast root must supply data");
+        let mut buf = data.unwrap_or_default();
+        let schedule = |out: &mut Vec<Act>| sched::bcast(p, r, root, 0, out);
+        self.execute(ctx, CollOp::Bcast, schedule, |ctx, link, act| match act {
+            Act::Send(..) => link.send(ctx, buf.clone()),
+            Act::Recv(..) => buf = link.recv(ctx),
+        });
         buf
     }
 
@@ -259,37 +255,22 @@ impl Comm {
         T: Clone + Send + 'static,
         F: Fn(&mut T, &T),
     {
-        self.traced(ctx, "reduce", move |c, ctx| {
-            c.reduce_impl(ctx, root, local, op)
-        })
-    }
-
-    fn reduce_impl<T, F>(&self, ctx: &mut Ctx, root: usize, local: Vec<T>, op: F) -> Option<Vec<T>>
-    where
-        T: Clone + Send + 'static,
-        F: Fn(&mut T, &T),
-    {
-        let tag = self.next_tag(CollOp::Reduce);
-        let p = self.size();
-        let rel = (self.my_rank + p - root) % p;
-        let mut acc = local;
-        let mut k = 1;
-        while k < p {
-            if rel & k != 0 {
-                let dst = self.ranks[(rel - k + root) % p];
-                ctx.send_raw(dst, self.id, tag, acc);
-                return None;
-            } else if rel + k < p {
-                let src = self.ranks[(rel + k + root) % p];
-                let other = ctx.recv_raw::<T>(src, self.id, tag);
+        let (p, r) = (self.size(), self.my_rank);
+        // Every rank but the root ends by sending its accumulator up.
+        let mut acc = Some(local);
+        let schedule = |out: &mut Vec<Act>| sched::reduce(p, r, root, 0, out);
+        self.execute(ctx, CollOp::Reduce, schedule, |ctx, link, act| match act {
+            Act::Send(..) => link.send(ctx, acc.take().expect("reduce: sent twice")),
+            Act::Recv(..) => {
+                let other = link.recv::<T>(ctx);
+                let acc = acc.as_mut().expect("reduce: receive after send");
                 assert_eq!(acc.len(), other.len(), "reduce: length mismatch");
                 for (a, b) in acc.iter_mut().zip(other.iter()) {
                     op(a, b);
                 }
             }
-            k <<= 1;
-        }
-        Some(acc)
+        });
+        acc
     }
 
     /// Reduce to local rank 0 then broadcast: every member returns the
@@ -314,30 +295,17 @@ impl Comm {
         root: usize,
         local: Vec<T>,
     ) -> Option<Vec<Vec<T>>> {
-        self.traced(ctx, "gather", move |c, ctx| c.gather_impl(ctx, root, local))
-    }
-
-    fn gather_impl<T: Send + 'static>(
-        &self,
-        ctx: &mut Ctx,
-        root: usize,
-        local: Vec<T>,
-    ) -> Option<Vec<Vec<T>>> {
-        let tag = self.next_tag(CollOp::Gather);
-        if self.my_rank != root {
-            ctx.send_raw(self.ranks[root], self.id, tag, local);
-            return None;
-        }
-        let mut out: Vec<Vec<T>> = Vec::with_capacity(self.size());
+        let (p, r) = (self.size(), self.my_rank);
         let mut local = Some(local);
-        for src in 0..self.size() {
-            if src == root {
-                out.push(local.take().expect("gather: root buffer reused"));
-            } else {
-                out.push(ctx.recv_raw::<T>(self.ranks[src], self.id, tag));
-            }
-        }
-        Some(out)
+        let mut slots: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
+        let schedule = |out: &mut Vec<Act>| sched::gather(p, r, root, &|_| 0, out);
+        self.execute(ctx, CollOp::Gather, schedule, |ctx, link, act| match act {
+            Act::Send(..) => link.send(ctx, local.take().expect("gather: sent twice")),
+            Act::Recv(..) => slots[link.peer] = link.recv(ctx),
+        });
+        // Only the root still holds its buffer; the others sent theirs.
+        slots[root] = local?;
+        Some(slots)
     }
 
     /// Gather every member's vector at every member (local-rank order).
@@ -352,52 +320,40 @@ impl Comm {
         ctx: &mut Ctx,
         local: Vec<T>,
     ) -> Vec<Vec<T>> {
-        self.traced(ctx, "allgather", move |c, ctx| c.allgather_impl(ctx, local))
-    }
-
-    fn allgather_impl<T: Clone + Send + 'static>(
-        &self,
-        ctx: &mut Ctx,
-        local: Vec<T>,
-    ) -> Vec<Vec<T>> {
-        let tag = self.next_tag(CollOp::AllGather);
-        let p = self.size();
-        let r = self.my_rank;
-        // blocks[j] holds the vector of local rank (r + j) % p.
-        let mut blocks: Vec<Vec<T>> = Vec::with_capacity(p);
-        blocks.push(local);
-        let mut have = 1;
-        while have < p {
-            // Ship our first `cnt` blocks `have` ranks downward; the
-            // receiver appends them to its run, which grows to
-            // `have + cnt`. Each (src → dst) pair occurs in exactly one
-            // round, so one tag pair per round cannot cross-match.
-            let cnt = have.min(p - have);
-            let dst = self.ranks[(r + p - have) % p];
-            let src = self.ranks[(r + have) % p];
-            let header: Vec<u64> = blocks[..cnt].iter().map(|b| b.len() as u64).collect();
-            ctx.send_raw(dst, self.id, tag, header);
-            let data: Vec<T> = blocks[..cnt]
-                .iter()
-                .flat_map(|b| b.iter().cloned())
-                .collect();
-            ctx.send_raw(dst, self.id, tag + (1 << 7), data);
-            let lens = ctx.recv_raw::<u64>(src, self.id, tag);
-            let data = ctx.recv_raw::<T>(src, self.id, tag + (1 << 7));
-            let mut it = data.into_iter();
-            for len in lens {
-                blocks.push(it.by_ref().take(len as usize).collect());
-            }
-            debug_assert!(it.next().is_none(), "allgather: header/data mismatch");
-            have += cnt;
-            debug_assert_eq!(blocks.len(), have);
-        }
-        // Rotate back into local-rank order: blocks[j] is rank (r+j)%p.
-        let mut out: Vec<Vec<T>> = (0..p).map(|_| Vec::new()).collect();
-        for (j, b) in blocks.into_iter().enumerate() {
-            out[(r + j) % p] = b;
-        }
-        out
+        let (p, r) = (self.size(), self.my_rank);
+        // blocks[j] holds the vector of local rank (r + j) % p; each
+        // round appends the blocks its header announces.
+        let mut blocks: Vec<Vec<T>> = vec![local];
+        let mut lens: Vec<u64> = Vec::new();
+        let schedule = |out: &mut Vec<Act>| sched::allgather(p, r, &|_| 0, out);
+        self.execute(
+            ctx,
+            CollOp::AllGather,
+            schedule,
+            |ctx, link, act| match act {
+                Act::Send(.., Part::Lens(n)) => {
+                    let lens = blocks[..n as usize].iter().map(|b| b.len() as u64);
+                    link.send(ctx, lens.collect::<Vec<u64>>());
+                }
+                Act::Send(.., Part::Blocks(n)) => {
+                    let data: Vec<T> = blocks[..n as usize].iter().flatten().cloned().collect();
+                    link.send(ctx, data);
+                }
+                Act::Recv(_, Part::Lens(_)) => lens = link.recv(ctx),
+                Act::Recv(_, Part::Blocks(_)) => {
+                    let mut it = link.recv::<T>(ctx).into_iter();
+                    for &len in &lens {
+                        blocks.push(it.by_ref().take(len as usize).collect());
+                    }
+                    debug_assert!(it.next().is_none(), "allgather: header/data mismatch");
+                }
+                _ => unreachable!("allgather moves only headers and blocks"),
+            },
+        );
+        debug_assert_eq!(blocks.len(), p);
+        // Back into local-rank order: blocks[j] belongs at (r + j) % p.
+        blocks.rotate_right(r);
+        blocks
     }
 
     /// Personalised all-to-all with per-destination vectors
@@ -405,7 +361,9 @@ impl Comm {
     /// `out[i]` is what local rank `i` sent here. Pairwise exchange
     /// schedule (round `k`: send to `me+k`, receive from `me−k`).
     pub fn alltoallv<T: Send + 'static>(&self, ctx: &mut Ctx, send: Vec<Vec<T>>) -> Vec<Vec<T>> {
-        self.traced(ctx, "alltoallv", move |c, ctx| c.alltoallv_impl(ctx, send))
+        self.traced(ctx, CollOp::AllToAll.name(), move |c, ctx| {
+            c.alltoallv_impl(ctx, send)
+        })
     }
 
     fn alltoallv_impl<T: Send + 'static>(&self, ctx: &mut Ctx, send: Vec<Vec<T>>) -> Vec<Vec<T>> {
@@ -435,7 +393,9 @@ impl Comm {
     /// form one new communicator, ordered by `(key, parent rank)` — the
     /// semantics of `MPI_Comm_split`.
     pub fn split(&self, ctx: &mut Ctx, color: u64, key: u64) -> Comm {
-        self.traced(ctx, "split", move |c, ctx| c.split_impl(ctx, color, key))
+        self.traced(ctx, CollOp::Split.name(), move |c, ctx| {
+            c.split_impl(ctx, color, key)
+        })
     }
 
     fn split_impl(&self, ctx: &mut Ctx, color: u64, key: u64) -> Comm {
@@ -493,94 +453,109 @@ impl Comm {
     }
 }
 
-/// Highest set bit of a nonzero integer.
-#[inline]
-fn highest_bit(x: usize) -> usize {
-    debug_assert!(x > 0);
-    1 << (usize::BITS - 1 - x.leading_zeros())
+/// One scheduled message as the threaded executor moves it: the peer's
+/// local rank plus the `(world rank, communicator, tag)` match key.
+#[derive(Clone, Copy)]
+struct Link {
+    peer: usize,
+    global: usize,
+    comm_id: u64,
+    tag: u64,
 }
 
-/// Analytic per-rank edge schedules of the collectives, for the phantom
-/// engine (`crate::engine`).
-///
-/// Each function emits, for one local rank, the exact sequence of sends
-/// and receives the threaded implementation above would perform —
-/// payloads elided, byte counts preserved. A phantom-only subtree of a
-/// binomial collective therefore costs O(edges) host work instead of
-/// O(ranks) threads. **Keep these in lockstep with the threaded
-/// implementations**: `tests/phantom_equivalence.rs` proves bitwise
-/// clock agreement at p ≤ 64 and will catch any drift.
-pub(crate) mod sched {
-    use super::highest_bit;
+impl Link {
+    fn send<T: Send + 'static>(self, ctx: &mut Ctx, data: Vec<T>) {
+        ctx.send_raw(self.global, self.comm_id, self.tag, data);
+    }
 
-    /// One edge action, from one rank's point of view. Peers are local
-    /// ranks; `bytes` is the modelled payload size of the send (the
-    /// receive side takes its size from the matched message).
+    fn recv<T: Send + 'static>(self, ctx: &mut Ctx) -> Vec<T> {
+        ctx.recv_raw(self.global, self.comm_id, self.tag)
+    }
+}
+
+/// The collectives' message patterns, each written once: per-rank
+/// action lists that both executors walk in order — the threaded
+/// [`Comm`] methods above, carrying real payloads, and the phantom
+/// engine (`crate::engine`), carrying modelled sizes. A phantom-only
+/// subtree of a binomial collective therefore costs O(edges) host
+/// work instead of O(ranks) threads, and `tests/phantom_equivalence.rs`
+/// checks that the two executors agree bitwise at p ≤ 64.
+pub(crate) mod sched {
+    /// Which part of a collective's state a message carries; only the
+    /// threaded executor reads it (the phantom engine moves `bytes`).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Part {
+        /// The collective's buffer (empty for a barrier).
+        Buf,
+        /// A Bruck round's length header for the first `n` blocks.
+        Lens(u32),
+        /// A Bruck round's first `n` blocks, concatenated.
+        Blocks(u32),
+    }
+
+    /// One edge action, from one rank's point of view: `Send(peer,
+    /// bytes, part)` or `Recv(peer, part)`. Peers are local ranks;
+    /// `bytes` is the modelled payload size of the send (the receive
+    /// side takes its size from the matched message).
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub(crate) enum Act {
-        Send { peer: u32, bytes: u64 },
-        Recv { peer: u32 },
+        Send(u32, u64, Part),
+        Recv(u32, Part),
+    }
+
+    fn send(peer: usize, bytes: u64) -> Act {
+        Act::Send(peer as u32, bytes, Part::Buf)
+    }
+
+    fn recv(peer: usize) -> Act {
+        Act::Recv(peer as u32, Part::Buf)
+    }
+
+    /// Highest set bit of a nonzero integer.
+    fn highest_bit(x: usize) -> usize {
+        debug_assert!(x > 0);
+        1 << (usize::BITS - 1 - x.leading_zeros())
     }
 
     /// Binomial fan-in to local rank 0, mirrored fan-out (`barrier`).
     pub(crate) fn barrier(p: usize, r: usize, out: &mut Vec<Act>) {
-        if p == 1 {
-            return;
-        }
+        // Fan-in: leaves first.
         let mut k = 1;
         while k < p {
             if r & k != 0 {
-                out.push(Act::Send {
-                    peer: (r - k) as u32,
-                    bytes: 0,
-                });
+                out.push(send(r - k, 0));
                 break;
             } else if r + k < p {
-                out.push(Act::Recv {
-                    peer: (r + k) as u32,
-                });
+                out.push(recv(r + k));
             }
             k <<= 1;
         }
-        let mut k = {
-            let mut k = 1;
-            while k < p {
-                k <<= 1;
-            }
-            k >> 1
-        };
+        // Fan-out, mirrored.
+        let mut k = p.next_power_of_two() >> 1;
         while k >= 1 {
             if r & k != 0 {
-                out.push(Act::Recv {
-                    peer: (r - k) as u32,
-                });
+                out.push(recv(r - k));
                 break;
             } else if r + k < p {
-                out.push(Act::Send {
-                    peer: (r + k) as u32,
-                    bytes: 0,
-                });
+                out.push(send(r + k, 0));
             }
             k >>= 1;
         }
     }
 
-    /// Binomial broadcast from local rank `root`; every forwarded
+    /// Binomial broadcast from local rank `root`: receive from the
+    /// parent `rel - k` (k the highest set bit of rel), then forward to
+    /// the children `rel + k` for every k above it. Each forwarded
     /// message carries the root's payload size.
     pub(crate) fn bcast(p: usize, r: usize, root: usize, root_bytes: u64, out: &mut Vec<Act>) {
         let rel = (r + p - root) % p;
         if rel != 0 {
             let k = highest_bit(rel);
-            out.push(Act::Recv {
-                peer: ((rel - k + root) % p) as u32,
-            });
+            out.push(recv((rel - k + root) % p));
         }
         let mut k = if rel == 0 { 1 } else { highest_bit(rel) << 1 };
         while rel + k < p {
-            out.push(Act::Send {
-                peer: ((rel + k + root) % p) as u32,
-                bytes: root_bytes,
-            });
+            out.push(send((rel + k + root) % p, root_bytes));
             k <<= 1;
         }
     }
@@ -592,15 +567,10 @@ pub(crate) mod sched {
         let mut k = 1;
         while k < p {
             if rel & k != 0 {
-                out.push(Act::Send {
-                    peer: ((rel - k + root) % p) as u32,
-                    bytes: my_bytes,
-                });
+                out.push(send((rel - k + root) % p, my_bytes));
                 return;
             } else if rel + k < p {
-                out.push(Act::Recv {
-                    peer: ((rel + k + root) % p) as u32,
-                });
+                out.push(recv((rel + k + root) % p));
             }
             k <<= 1;
         }
@@ -616,21 +586,17 @@ pub(crate) mod sched {
         out: &mut Vec<Act>,
     ) {
         if r != root {
-            out.push(Act::Send {
-                peer: root as u32,
-                bytes: bytes_of(r),
-            });
+            out.push(send(root, bytes_of(r)));
             return;
         }
-        for src in 0..p {
-            if src != root {
-                out.push(Act::Recv { peer: src as u32 });
-            }
-        }
+        out.extend((0..p).filter(|&src| src != root).map(recv));
     }
 
-    /// Bruck dissemination `allgather`: per round one length header
-    /// (8 bytes per block) plus the concatenated block payload.
+    /// Bruck dissemination `allgather`: in each round a rank ships the
+    /// first `cnt` blocks of its run `have` ranks downward — a length
+    /// header (8 bytes per block), then the concatenated blocks — and
+    /// receives as many from `have` ranks upward, so its run grows to
+    /// `have + cnt`. Each (src → dst) pair occurs in exactly one round.
     pub(crate) fn allgather(
         p: usize,
         r: usize,
@@ -642,17 +608,14 @@ pub(crate) mod sched {
             let cnt = have.min(p - have);
             let dst = ((r + p - have) % p) as u32;
             let src = ((r + have) % p) as u32;
-            out.push(Act::Send {
-                peer: dst,
-                bytes: 8 * cnt as u64,
-            });
+            let (lens, blocks) = (Part::Lens(cnt as u32), Part::Blocks(cnt as u32));
             let data: u64 = (0..cnt).map(|j| bytes_of((r + j) % p)).sum();
-            out.push(Act::Send {
-                peer: dst,
-                bytes: data,
-            });
-            out.push(Act::Recv { peer: src });
-            out.push(Act::Recv { peer: src });
+            out.extend([
+                Act::Send(dst, 8 * cnt as u64, lens),
+                Act::Send(dst, data, blocks),
+                Act::Recv(src, lens),
+                Act::Recv(src, blocks),
+            ]);
             have += cnt;
         }
     }

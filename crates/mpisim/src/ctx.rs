@@ -115,13 +115,9 @@ impl Ctx {
         debug_assert!(seconds >= 0.0);
         #[cfg(feature = "faults")]
         let seconds = match &mut self.faults {
-            Some(f) => {
-                let factor = f.plan.straggler_factor(self.rank, f.step);
-                if factor > 1.0 {
-                    f.stats.straggler_vtime += seconds * (factor - 1.0);
-                }
-                seconds * factor
-            }
+            Some(f) => f
+                .plan
+                .charge_compute(self.rank, f.step, seconds, &mut f.stats),
             None => seconds,
         };
         self.clock.compute(seconds);
@@ -240,30 +236,24 @@ impl Ctx {
         })
     }
 
-    /// Account an injected message fault at the receiver: bump the
-    /// counters, emit trace instants, and return the extra arrival
-    /// latency (injected delay + one backed-off timeout per drop).
+    /// Account an injected message fault at the receiver: emit trace
+    /// instants, then charge it through [`FaultPlan::charge_msg`] (the
+    /// counters and the extra arrival latency).
     #[cfg(feature = "faults")]
     fn apply_msg_fault(&mut self, fault: &MsgFault) -> f64 {
         let f = self
             .faults
             .as_mut()
             .expect("mpisim: faulty message received but no plan attached");
-        let cost = f.plan.fault_cost(fault);
+        #[cfg(feature = "obs")]
         if fault.drops > 0 {
-            f.stats.messages_dropped += 1;
-            f.stats.retries += fault.drops as u64;
-            f.stats.retry_vtime += cost - fault.delay;
-            #[cfg(feature = "obs")]
             greem_obs::trace::instant("fault", "fault.msg_drop", &[("drops", fault.drops as f64)]);
         }
+        #[cfg(feature = "obs")]
         if fault.delay > 0.0 {
-            f.stats.messages_delayed += 1;
-            f.stats.delay_vtime += fault.delay;
-            #[cfg(feature = "obs")]
             greem_obs::trace::instant("fault", "fault.msg_delay", &[("delay_s", fault.delay)]);
         }
-        cost
+        f.plan.charge_msg(fault, &mut f.stats)
     }
 
     /// Set the step index used by step-indexed faults (crash schedules,
@@ -308,14 +298,16 @@ impl Ctx {
 
     /// Pull messages from the mailbox until one matches, stashing the
     /// rest. Out-of-order arrival is therefore harmless, like MPI's
-    /// matching rules.
+    /// matching rules; the stash keeps arrival order, so messages with
+    /// one `(src, comm_id, tag)` match in send order (MPI's
+    /// non-overtaking rule).
     fn take_matching(&mut self, src: usize, comm_id: u64, tag: u64) -> Message {
         if let Some(i) = self
             .pending
             .iter()
             .position(|m| m.src == src && m.comm_id == comm_id && m.tag == tag)
         {
-            return self.pending.swap_remove(i);
+            return self.pending.remove(i);
         }
         loop {
             let m = self

@@ -13,12 +13,15 @@
 //! O(active ranks · log p) — and messages are size-only records
 //! (`send_ready`, bytes, hops, fault draw), payloads elided.
 //!
-//! Because every clock mutation goes through the same [`RankClock`]
-//! arithmetic as the threaded runtime, and per-rank program order is
-//! preserved (the event loop only ever *delays* a rank, never reorders
-//! its own actions), the resulting timelines are bitwise identical to
-//! full-thread mode — see `tests/phantom_equivalence.rs` and
-//! DESIGN.md §16.
+//! This is the second executor of one description. The action lists
+//! are the ones the threaded [`crate::Comm`] collectives walk, groups
+//! come from the same `script::groups` rule, every clock
+//! mutation goes through the same [`RankClock`] arithmetic, and fault
+//! charges through the same `FaultPlan::charge_msg` / `charge_compute`.
+//! Per-rank program order is preserved (the event loop only ever
+//! *delays* a rank, never reorders its own actions), so the resulting
+//! timelines are bitwise identical to full-thread mode — see
+//! `tests/phantom_equivalence.rs` and DESIGN.md §16.
 //!
 //! Fault injection composes: message faults are drawn from the plan's
 //! pure `(seed, src, dst, seq)` hash at send time exactly as the
@@ -39,7 +42,7 @@ use crate::ctx::CommStats;
 use crate::fault::{FaultPlan, FaultStats, MsgFault};
 use crate::netmodel::NetModel;
 use crate::script::{
-    CollKind, EngineReport, RankBytes, RankTimeline, Scope, Script, ScriptOp, ScriptOutcome,
+    groups, CollKind, EngineReport, RankBytes, RankTimeline, Scope, Script, ScriptOp, ScriptOutcome,
 };
 use crate::topology::Torus3d;
 
@@ -131,7 +134,7 @@ impl Engine {
         let np = script.phases.len();
         let mut phase_v = vec![0.0f64; n * np];
         let mut prev = vec![0.0f64; n];
-        let world_members: Vec<u32> = (0..n as u32).collect();
+        let world_members: Vec<usize> = (0..n).collect();
         for (i, op) in script.ops.iter().enumerate() {
             let pi = script.op_phase[i];
             if pi != usize::MAX {
@@ -157,24 +160,8 @@ impl Engine {
                 ScriptOp::Collective { kind, bytes, scope } => match scope {
                     Scope::World => self.run_group(&world_members, *kind, bytes),
                     Scope::Groups(color) => {
-                        // Partition by (color, rank): contiguous runs are
-                        // the groups, members ascending — the same order
-                        // the threaded interpreter derives.
-                        let mut keyed: Vec<(u64, u32)> =
-                            (0..n as u32).map(|r| (color(r as usize), r)).collect();
-                        keyed.sort_unstable();
-                        let mut lo = 0;
-                        let mut members: Vec<u32> = Vec::new();
-                        while lo < keyed.len() {
-                            let c = keyed[lo].0;
-                            let hi = keyed[lo..]
-                                .iter()
-                                .position(|&(cc, _)| cc != c)
-                                .map_or(keyed.len(), |d| lo + d);
-                            members.clear();
-                            members.extend(keyed[lo..hi].iter().map(|&(_, r)| r));
+                        for members in groups(n, color) {
                             self.run_group(&members, *kind, bytes);
-                            lo = hi;
                         }
                     }
                 },
@@ -212,23 +199,17 @@ impl Engine {
     /// rows every rank replays.
     fn run_compute(&mut self, seconds: &(dyn Fn(usize) -> f64 + Send + Sync)) {
         #[cfg(feature = "faults")]
-        if let Some(plan) = self.plan.clone() {
-            // The threaded runtime multiplies by the straggler factor
-            // whenever a plan is attached; factor 1.0 is a bitwise
-            // no-op, so the straggler-free fast path below is exact.
-            if plan.has_stragglers() {
-                let fstats = self.fstats.as_mut().expect("fstats live with stragglers");
-                for (r, fs) in fstats.iter_mut().enumerate() {
-                    let s = seconds(r);
-                    debug_assert!(s >= 0.0);
-                    let factor = plan.straggler_factor(r, self.step);
-                    if factor > 1.0 {
-                        fs.straggler_vtime += s * (factor - 1.0);
-                    }
-                    self.clocks[r].compute(s * factor);
-                }
-                return;
+        if let Some(plan) = self.plan.as_deref().filter(|p| p.has_stragglers()) {
+            // `Ctx::compute` charges every rank through the plan; factor
+            // 1.0 is a bitwise no-op, so the straggler-free fast path
+            // below is exact.
+            let fstats = self.fstats.as_mut().expect("fstats live with stragglers");
+            for (r, fs) in fstats.iter_mut().enumerate() {
+                let s = seconds(r);
+                debug_assert!(s >= 0.0);
+                self.clocks[r].compute(plan.charge_compute(r, self.step, s, fs));
             }
+            return;
         }
         for r in 0..self.n {
             let s = seconds(r);
@@ -238,7 +219,7 @@ impl Engine {
     }
 
     /// Execute one collective over one group via the event loop.
-    fn run_group(&mut self, members: &[u32], kind: CollKind, bytes: &RankBytes) {
+    fn run_group(&mut self, members: &[usize], kind: CollKind, bytes: &RankBytes) {
         let g = members.len();
         if g <= 1 {
             // Degenerate collectives move no messages and, like the
@@ -248,7 +229,7 @@ impl Engine {
         // Materialise each member's action schedule.
         self.acts.clear();
         self.offsets.clear();
-        let bytes_of = |l: usize| bytes(members[l] as usize) as u64;
+        let bytes_of = |l: usize| bytes(members[l]) as u64;
         for (local, _) in members.iter().enumerate() {
             self.offsets.push(self.acts.len() as u32);
             match kind {
@@ -280,13 +261,13 @@ impl Engine {
         self.mailbox.clear();
         self.waiting.clear();
         while let Some(l) = self.runnable.pop() {
-            let me = members[l as usize] as usize;
+            let me = members[l as usize];
             let end = self.offsets[l as usize + 1];
             while self.pc[l as usize] < end {
                 match self.acts[self.pc[l as usize] as usize] {
-                    Act::Send { peer, bytes } => {
+                    Act::Send(peer, bytes, _) => {
                         let bytes = bytes as usize;
-                        let dst = members[peer as usize] as usize;
+                        let dst = members[peer as usize];
                         self.stats[me].messages_sent += 1;
                         self.stats[me].bytes_sent += bytes as u64;
                         let send_ready = self.clocks[me].charge_send(&self.net, bytes);
@@ -317,7 +298,7 @@ impl Engine {
                             self.runnable.push(peer);
                         }
                     }
-                    Act::Recv { peer } => {
+                    Act::Recv(peer, _) => {
                         let key = edge(peer, l);
                         let msg = self.mailbox.get_mut(&key).and_then(|q| q.pop_front());
                         match msg {
@@ -326,7 +307,10 @@ impl Engine {
                                 let mut arrival = m.send_ready + self.net.latency(m.hops);
                                 #[cfg(feature = "faults")]
                                 if !m.fault.is_clean() {
-                                    arrival += self.apply_msg_fault(me, &m.fault);
+                                    let plan = self.plan.as_ref().expect("faulty message, no plan");
+                                    let fstats =
+                                        self.fstats.as_mut().expect("fstats live with faults");
+                                    arrival += plan.charge_msg(&m.fault, &mut fstats[me]);
                                 }
                                 self.clocks[me].charge_recv(&self.net, arrival, m.bytes);
                                 self.stats[me].messages_received += 1;
@@ -347,30 +331,5 @@ impl Engine {
             (0..g).all(|l| self.pc[l] == self.offsets[l + 1]),
             "phantom engine: collective deadlocked (schedule bug)"
         );
-    }
-
-    /// Mirror of `Ctx::apply_msg_fault`, without trace instants.
-    #[cfg(feature = "faults")]
-    fn apply_msg_fault(&mut self, rank: usize, fault: &MsgFault) -> f64 {
-        let plan = self
-            .plan
-            .as_ref()
-            .expect("faulty message without a plan attached");
-        let cost = plan.fault_cost(fault);
-        let fstats = self
-            .fstats
-            .as_mut()
-            .expect("fstats live when message faults fire");
-        let fs = &mut fstats[rank];
-        if fault.drops > 0 {
-            fs.messages_dropped += 1;
-            fs.retries += fault.drops as u64;
-            fs.retry_vtime += cost - fault.delay;
-        }
-        if fault.delay > 0.0 {
-            fs.messages_delayed += 1;
-            fs.delay_vtime += fault.delay;
-        }
-        cost
     }
 }

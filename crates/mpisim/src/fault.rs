@@ -325,6 +325,41 @@ impl FaultPlan {
         }
         cost
     }
+
+    /// Charge `fault` to its receiver: count it in `stats` and return
+    /// the extra arrival latency ([`FaultPlan::fault_cost`]). Both
+    /// executors — `Ctx` and the phantom engine — call this, so the
+    /// counters agree bitwise.
+    pub(crate) fn charge_msg(&self, fault: &MsgFault, stats: &mut FaultStats) -> f64 {
+        let cost = self.fault_cost(fault);
+        if fault.drops > 0 {
+            stats.messages_dropped += 1;
+            stats.retries += fault.drops as u64;
+            stats.retry_vtime += cost - fault.delay;
+        }
+        if fault.delay > 0.0 {
+            stats.messages_delayed += 1;
+            stats.delay_vtime += fault.delay;
+        }
+        cost
+    }
+
+    /// Scale a compute charge of `seconds` on `rank` at `step` by its
+    /// straggler factor, counting the extra time in `stats`. Factor 1.0
+    /// is a bitwise no-op, so healthy ranks may skip the call.
+    pub(crate) fn charge_compute(
+        &self,
+        rank: usize,
+        step: u64,
+        seconds: f64,
+        stats: &mut FaultStats,
+    ) -> f64 {
+        let factor = self.straggler_factor(rank, step);
+        if factor > 1.0 {
+            stats.straggler_vtime += seconds * (factor - 1.0);
+        }
+        seconds * factor
+    }
 }
 
 /// splitmix64 finaliser: the bit mixer behind every seeded decision.

@@ -14,9 +14,14 @@
 //!   10⁴–10⁵ ranks are cheap. Only the designated *representative*
 //!   ranks run the script's real-work hooks.
 //!
-//! Both modes produce identical per-rank [`RankTimeline`]s — bitwise,
-//! down to the f64 virtual clocks — which is test-enforced at p ≤ 64
-//! (`tests/phantom_equivalence.rs`) and documented in DESIGN.md §16.
+//! The two modes are two executors of one description: each
+//! collective's message pattern is written once (`comm::sched`), group
+//! membership once (`script::groups`) and fault charging once (in
+//! `fault.rs`); only the payloads differ — real vectors on threads,
+//! modelled sizes in the engine. Both produce identical per-rank
+//! [`RankTimeline`]s — bitwise, down to the f64 virtual clocks — which
+//! is test-enforced at p ≤ 64 (`tests/phantom_equivalence.rs`) and
+//! documented in DESIGN.md §16.
 //!
 //! Scripts express the collectives the weak-scaling campaign needs
 //! (barrier, bcast, reduce, allreduce, gather, allgather), world-wide
@@ -354,16 +359,16 @@ impl ScriptOutcome {
     }
 }
 
-/// Group members and the caller's local index, for `Scope::Groups`,
-/// computed by brute force (full-thread mode only runs at small p).
-fn group_members(n: usize, rank: usize, color: &RankColor) -> (Vec<usize>, usize) {
-    let mine = color(rank);
-    let members: Vec<usize> = (0..n).filter(|&r| color(r) == mine).collect();
-    let my_local = members
-        .iter()
-        .position(|&r| r == rank)
-        .expect("group color fn must be deterministic");
-    (members, my_local)
+/// The `Scope::Groups` membership rule, for both executors: ranks of
+/// equal `color` form one group, its members (global ranks) ascending,
+/// which is their local-rank order. Groups come in ascending color.
+pub(crate) fn groups(n: usize, color: &RankColor) -> Vec<Vec<usize>> {
+    let mut keyed: Vec<(u64, usize)> = (0..n).map(|r| (color(r), r)).collect();
+    keyed.sort_unstable();
+    keyed
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|g| g.iter().map(|&(_, r)| r).collect())
+        .collect()
 }
 
 /// Execute `script` on one rank of a full-thread world. The collective
@@ -390,9 +395,11 @@ pub(crate) fn interpret_threaded(script: &Script, ctx: &mut Ctx, world: &Comm) -
             ScriptOp::Collective { kind, bytes, scope } => match scope {
                 Scope::World => run_collective(ctx, world, *kind, bytes, rank),
                 Scope::Groups(color) => {
-                    let (members, my_local) = group_members(n, rank, color);
-                    let comm =
-                        Comm::subset(SCRIPT_COMM_BASE + i as u64, Arc::new(members), my_local);
+                    let (local, members) = groups(n, color)
+                        .into_iter()
+                        .find_map(|m| Some((m.binary_search(&rank).ok()?, m)))
+                        .expect("group color fn must be deterministic");
+                    let comm = Comm::subset(SCRIPT_COMM_BASE + i as u64, Arc::new(members), local);
                     run_collective(ctx, &comm, *kind, bytes, rank);
                 }
             },

@@ -33,6 +33,25 @@ fn p2p_tag_matching_reorders() {
 }
 
 #[test]
+fn p2p_same_tag_messages_do_not_overtake() {
+    // Rank 1 receives tag 9 first, which stashes the three tag-5
+    // messages; they must still match in send order (MPI's
+    // non-overtaking rule), not in stash order.
+    World::new(2).run(|ctx, world| {
+        if world.rank() == 0 {
+            for v in [1u32, 2, 3] {
+                world.send(ctx, 1, 5, vec![v]);
+            }
+            world.send(ctx, 1, 9, vec![0u32]);
+        } else {
+            let _: Vec<u32> = world.recv(ctx, 0, 9);
+            let got: Vec<u32> = (0..3).map(|_| world.recv::<u32>(ctx, 0, 5)[0]).collect();
+            assert_eq!(got, vec![1, 2, 3]);
+        }
+    });
+}
+
+#[test]
 fn p2p_self_send() {
     World::new(1).run(|ctx, world| {
         world.send(ctx, 0, 3, vec![99u8]);

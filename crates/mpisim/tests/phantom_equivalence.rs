@@ -9,7 +9,8 @@
 use mpisim::{NetModel, Script, ScriptOutcome, World};
 
 /// A script exercising every collective shape the engine supports:
-/// rank-skewed compute, rooted gather/bcast/reduce, group-scoped
+/// rank-skewed compute, rooted gather/bcast/reduce (at root 0 and at
+/// non-zero roots), group-scoped
 /// reduce/bcast (the relay-mesh shape), allgather (ragged), allreduce,
 /// and barriers, over several steps.
 fn mixed_script(p: usize, steps: u64) -> Script {
@@ -32,6 +33,10 @@ fn mixed_script(p: usize, steps: u64) -> Script {
     }
     // A rooted reduce at a non-zero root (when p allows one).
     s.reduce("ctl.sum", 2 % p, |_| 128);
+    // Rooted bcast and gather at the last rank, so the schedules' root
+    // rotation is checked too (p = 1 degenerates to root 0).
+    s.bcast("ctl.sum", p - 1, |_| 256);
+    s.gather("ctl.sum", p - 1, |r| 8 * (r % 3 + 1));
     s
 }
 
